@@ -202,7 +202,11 @@ def mul_cmd(field_tag: str, config_path: str | None, left: str,
     """Multiply two products of generators and print the expansion."""
     params = _apply_config({"field_tag": field_tag}, config_path)
     ctx = _field(params["field_tag"])
-    product = mul_hecke(_parse_algebra(ctx, left), _parse_algebra(ctx, right))
+    try:
+        product = mul_hecke(_parse_algebra(ctx, left),
+                            _parse_algebra(ctx, right))
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     terms = []
     for mono, coeff in sorted(product.terms.items(),
                               key=lambda kv: kv[0].sort_key()):
@@ -242,6 +246,10 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
     ctx = _field(params["field_tag"])
     r = _torsion(ctx, params["r_text"])
     beta_text = str(params["beta"]).strip().lower()
+    try:
+        bval = int(beta_text) if beta_text.isdigit() else float(beta_text)
+    except ValueError:
+        raise click.UsageError(f"--beta {beta_text!r} is not a number")
     extreme = params["extreme"] in (True, "true", "1", "yes")
     try:
         if not extreme:
@@ -249,8 +257,6 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
                 raise click.UsageError(
                     "beta=inf needs --extreme (ground states live at "
                     "character points)")
-            bval = int(beta_text) if beta_text.isdigit() else \
-                float(beta_text)
             val = phi_symmetric(r, bval)
             if isinstance(val, Fraction):
                 _emit({"beta": beta_text, "exact": _rat_str(val),

@@ -24,13 +24,30 @@ __all__ = ["CycloNum", "root_of_unity", "from_exponent"]
 @lru_cache(maxsize=None)
 def _reduction_tail(m: int) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_(D-1)) of the m-th cyclotomic polynomial
-    below its leading monomial, so zeta^D = -(c_0 + ... + c_(D-1) zeta^(D-1))."""
-    from sympy import Poly, Symbol, cyclotomic_poly
+    below its leading monomial, so zeta^D = -(c_0 + ... + c_(D-1) zeta^(D-1)).
 
-    x = Symbol("x")
-    coeffs = Poly(cyclotomic_poly(m, x), x).all_coeffs()
-    assert coeffs[0] == 1
-    return tuple(int(c) for c in reversed(coeffs[1:]))
+    Phi_m is x^m - 1 divided by Phi_d for every proper divisor d of m.
+    """
+    poly = [-1] + [0] * (m - 1) + [1]  # lowest degree first
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _divide_monic(poly, _reduction_tail(d) + (1,))
+    return tuple(poly[:-1])
+
+
+def _divide_monic(num: list, den: tuple) -> list:
+    """The quotient num/den of integer polynomials (lowest degree first)
+    for a monic den that divides num exactly."""
+    num = list(num)
+    k = len(den) - 1
+    quot = [0] * (len(num) - k)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = num[i + k]
+        if c:
+            for j, t in enumerate(den):
+                num[i + j] -= c * t
+    assert not any(num[:k]), "division left a remainder"
+    return quot
 
 
 def _reduce_vector(vec: list, m: int) -> tuple:

@@ -13,8 +13,3 @@ class UnsupportedFieldError(HeckeError, ValueError):
 
 class LevelOverflowError(HeckeError, RuntimeError):
     """Raised when a coset computation escapes the declared level bound."""
-
-
-class LevelMismatchError(HeckeError, ValueError):
-    """Raised when a torsion point and a character live at incompatible
-    levels, or when two objects belong to different fields."""

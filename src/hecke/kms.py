@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, log, pi
+from math import exp, inf, log, pi
 from typing import Union
 
 import numpy as np
@@ -32,7 +32,8 @@ import numpy as np
 from .cyclotomic import CycloNum
 from .hecke_algebra import (HeckeElement, Monomial, alpha, identity,
                             mul_hecke, sigma_i_beta, theta)
-from .numberfield import FieldCtx, factor, kronecker_symbol, make_ctx
+from .numberfield import (FieldCtx, _ideal_arrays, factor, kronecker_symbol,
+                          make_ctx)
 from .pairing import CharacterPoint, pair, pair_exponent
 from .torsion import TorsionClass, denominator_element, unit_orbit
 
@@ -67,7 +68,9 @@ class KmsParams:
 
 def phi_symmetric(r: TorsionClass, beta: Number):
     """The symmetric equilibrium value on theta_r; exact when beta is an
-    integer, float otherwise."""
+    integer, float otherwise.  beta must be finite and positive."""
+    if not 0 < beta < inf:
+        raise ValueError(f"beta must be finite and positive, not {beta}")
     b = denominator_element(r)
     nb = int(b.norm())
     exact = isinstance(beta, int) or (
@@ -133,38 +136,7 @@ def kms_identity_check(x: HeckeElement, y: HeckeElement, beta: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# ideal enumeration (one generator per ideal, vectorized)
-
-
-@lru_cache(maxsize=None)
-def _ideal_arrays(d: int, bound: int):
-    """Arrays (norms, x, y) listing exactly one generator x + y*omega for
-    every nonzero ideal of norm <= bound.
-
-    The generator is chosen in a fixed fundamental sector for the unit
-    rotation: x >= 1, y >= 0 for d in {1, 3} (quarter / sixth sector),
-    the upper half plane plus the positive real axis otherwise.
-    """
-    if d == 0:
-        n = np.arange(1, bound + 1, dtype=np.int64)
-        return n, n.copy(), np.zeros_like(n)
-    ctx = make_ctx(d)
-    t, nn = ctx.t, ctx.n
-    ymax = int((bound / (nn - 0.25 * t)) ** 0.5) + 2
-    xmax = int(bound ** 0.5) + 2
-    xmin = -(xmax + (ymax if t else 0)) - 2
-    xs = np.arange(xmin, xmax + 1, dtype=np.int64)
-    ys = np.arange(0, ymax + 1, dtype=np.int64)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    norm = gx * gx + t * gx * gy + nn * gy * gy
-    if len(ctx.units) > 2:
-        sector = (gx >= 1) & (gy >= 0)
-    else:
-        sector = (gy >= 1) | ((gy == 0) & (gx >= 1))
-    keep = sector & (norm >= 1) & (norm <= bound)
-    norms = norm[keep]
-    order = np.argsort(norms, kind="stable")
-    return norms[order], gx[keep][order], gy[keep][order]
+# the spectrum and truncated Dirichlet series
 
 
 def ideal_norms_up_to(ctx: FieldCtx, bound: int) -> list[int]:
@@ -231,12 +203,19 @@ def zeta_k(ctx: FieldCtx, beta: Number, tol: float = 1e-7,
     bf = float(beta)
     if bf <= 1:
         raise ValueError("zeta requires beta > 1")
+    if not tol > 0:
+        raise ValueError("zeta requires tol > 0")
     cb = 2.0 / (1.0 - 2.0 ** (-bf))  # |log factor_p| <= cb * p^(-beta)
     if prime_bound is None:
         # tail of sum cb * p^(-beta) <= cb * P^(1-beta)/(beta-1); aim at
         # tol/4 relative so the absolute bound lands under tol
         target = max(tol / 4.0, 1e-12)
-        prime_bound = int((cb / ((bf - 1.0) * target)) ** (1.0 / (bf - 1.0))) + 10
+        try:
+            prime_bound = int((cb / ((bf - 1.0) * target))
+                              ** (1.0 / (bf - 1.0))) + 10
+        except OverflowError:
+            raise ValueError(f"beta={bf} is too close to 1 for the Euler "
+                             "product") from None
         prime_bound = min(max(prime_bound, 100), 30_000_000)
     primes = _primes_up_to(prime_bound)
     pw = primes.astype(np.float64) ** (-bf)

@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd as _int_gcd, isqrt
+from math import gcd as _int_gcd, isqrt
+
+import numpy as np
 
 from .errors import UnsupportedFieldError
 
@@ -478,83 +480,7 @@ def divide_exact(x: FieldElem, y: FieldElem) -> FieldElem | None:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 Smith / Hermite forms
-
-
-def _snf2(m: list[list[int]]):
-    """Smith normal form of a nonsingular 2x2 integer matrix.
-
-    Returns (uinv, (s1, s2)) where u*m*v = diag(s1, s2) for unimodular
-    u, v and uinv is the inverse of u (v is not needed by callers).
-    """
-    m = [row[:] for row in m]
-    uinv = [[1, 0], [0, 1]]
-
-    def swap_rows():
-        m[0], m[1] = m[1], m[0]
-        for r in uinv:
-            r[0], r[1] = r[1], r[0]
-
-    def addmul_row(dst: int, src: int, k: int):
-        # row_dst += k*row_src on m; uinv tracks the inverse column op
-        m[dst][0] += k * m[src][0]
-        m[dst][1] += k * m[src][1]
-        for r in uinv:
-            r[src] -= k * r[dst]
-
-    def negate_row(i: int):
-        m[i][0] = -m[i][0]
-        m[i][1] = -m[i][1]
-        for r in uinv:
-            r[i] = -r[i]
-
-    def swap_cols():
-        m[0][0], m[0][1] = m[0][1], m[0][0]
-        m[1][0], m[1][1] = m[1][1], m[1][0]
-
-    def addmul_col(dst: int, src: int, k: int):
-        m[0][dst] += k * m[0][src]
-        m[1][dst] += k * m[1][src]
-
-    while True:
-        if m[0][0] == 0:
-            if m[1][0] != 0:
-                swap_rows()
-            elif m[0][1] != 0:
-                swap_cols()
-            elif m[1][1] != 0:
-                swap_rows()
-                swap_cols()
-            else:
-                raise ValueError("singular matrix")
-        while m[1][0] != 0:
-            q = m[1][0] // m[0][0]
-            addmul_row(1, 0, -q)
-            if m[1][0] != 0:
-                swap_rows()
-        while m[0][1] != 0:
-            q = m[0][1] // m[0][0]
-            addmul_col(1, 0, -q)
-            if m[0][1] != 0:
-                swap_cols()
-        if m[1][0] != 0 or m[0][1] != 0:
-            continue
-        if m[1][1] % m[0][0] != 0:
-            addmul_row(0, 1, 1)
-            continue
-        break
-    if m[0][0] < 0:
-        negate_row(0)
-    if m[1][1] < 0:
-        negate_row(1)
-    return uinv, (m[0][0], m[1][1])
-
-
-def _mult_matrix(a: FieldElem) -> list[list[int]]:
-    """Matrix of multiplication by integral a on the Z-basis (1, omega)."""
-    a0, a1 = int(a.c0), int(a.c1)
-    ctx = a.ctx
-    return [[a0, -ctx.n * a1], [a1, a0 + ctx.t * a1]]
+# residues and fractional ideal parts
 
 
 def reduce_mod(x: FieldElem, a: FieldElem) -> FieldElem:
@@ -574,8 +500,9 @@ def reduce_mod(x: FieldElem, a: FieldElem) -> FieldElem:
 def residues(a: FieldElem) -> tuple[FieldElem, ...]:
     """A transversal of O/aO, of size exactly norm(a).
 
-    For quadratic fields the transversal comes from the Smith normal
-    form of the multiplication-by-a matrix on the basis (1, omega).
+    For quadratic fields aO has the Hermite basis (A, B + C*omega), so
+    {i + j*omega : 0 <= i < A, 0 <= j < C} is a transversal (Cohen, A
+    Course in Computational Algebraic Number Theory, GTM 138, 2.4).
     """
     if not a.is_integral or a.is_zero:
         raise ValueError("residues require a nonzero integral element")
@@ -583,15 +510,10 @@ def residues(a: FieldElem) -> tuple[FieldElem, ...]:
     if ctx.is_rational:
         m = int(a.norm())
         return tuple(ctx.elem(k) for k in range(m))
-    uinv, (s1, s2) = _snf2(_mult_matrix(a))
-    out = []
-    for i in range(s1):
-        for j in range(s2):
-            v = FieldElem(ctx,
-                          Fraction(uinv[0][0] * i + uinv[0][1] * j),
-                          Fraction(uinv[1][0] * i + uinv[1][1] * j))
-            out.append(reduce_mod(v, a))
-    return tuple(out)
+    cols = [(int(g.c0), int(g.c1)) for g in (a, a * ctx.omega)]
+    h_a, _, h_c = _hnf_pair(cols)
+    return tuple(reduce_mod(FieldElem(ctx, Fraction(i), Fraction(j)), a)
+                 for i in range(h_a) for j in range(h_c))
 
 
 @lru_cache(maxsize=None)
@@ -801,37 +723,46 @@ def factor(a: FieldElem) -> list[tuple[PrincipalIdeal, int]]:
 
 
 # ---------------------------------------------------------------------------
-# ideal enumeration (exact, small cutoffs; kms has a fast numeric path)
+# ideal enumeration (one generator per ideal, vectorized)
+
+
+@lru_cache(maxsize=None)
+def _ideal_arrays(d: int, bound: int):
+    """Arrays (norms, x, y) listing exactly one generator x + y*omega for
+    every nonzero ideal of norm <= bound, sorted by norm.
+
+    The generator is chosen in a fixed fundamental sector for the unit
+    rotation: x >= 1, y >= 0 for d in {1, 3} (quarter / sixth sector),
+    the upper half plane plus the positive real axis otherwise.
+    """
+    if d == 0:
+        n = np.arange(1, bound + 1, dtype=np.int64)
+        return n, n.copy(), np.zeros_like(n)
+    ctx = make_ctx(d)
+    t, nn = ctx.t, ctx.n
+    ymax = int((bound / (nn - 0.25 * t)) ** 0.5) + 2
+    xmax = int(bound ** 0.5) + 2
+    xmin = -(xmax + (ymax if t else 0)) - 2
+    xs = np.arange(xmin, xmax + 1, dtype=np.int64)
+    ys = np.arange(0, ymax + 1, dtype=np.int64)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    norm = gx * gx + t * gx * gy + nn * gy * gy
+    if len(ctx.units) > 2:
+        sector = (gx >= 1) & (gy >= 0)
+    else:
+        sector = (gy >= 1) | ((gy == 0) & (gx >= 1))
+    keep = sector & (norm >= 1) & (norm <= bound)
+    norms = norm[keep]
+    order = np.argsort(norms, kind="stable")
+    return norms[order], gx[keep][order], gy[keep][order]
 
 
 def ideals_up_to(ctx: FieldCtx, bound: int) -> list[PrincipalIdeal]:
-    """All nonzero integral ideals of norm <= bound, sorted by norm."""
+    """All nonzero integral ideals of norm <= bound, sorted by norm and
+    then by canonical generator."""
     if bound < 1:
         return []
-    if ctx.is_rational:
-        return [PrincipalIdeal.of(ctx.elem(k)) for k in range(1, bound + 1)]
-    seen: dict[FieldElem, PrincipalIdeal] = {}
-    ymax = isqrt(4 * bound // (4 * ctx.n - ctx.t * ctx.t)) + 1
-    for y in range(-ymax, ymax + 1):
-        for x in _x_range(ctx, y, bound):
-            e = FieldElem(ctx, Fraction(x), Fraction(y))
-            if e.is_zero or e.norm() > bound:
-                continue
-            g = canonical_generator(e)
-            if g not in seen:
-                seen[g] = PrincipalIdeal(g, int(g.norm()))
-    return sorted(seen.values(), key=lambda i: (i.norm, _assoc_key(i.gen)))
-
-
-def _x_range(ctx: FieldCtx, y: int, bound: int):
-    # integer x with x^2 + t*x*y + n*y^2 <= bound (with a safety margin;
-    # callers filter by norm)
-    t, n = ctx.t, ctx.n
-    const = bound - n * y * y + Fraction(t * t * y * y, 4)
-    if const < 0:
-        return range(0)
-    root = isqrt(int(const)) + 1
-    half = Fraction(t * y, 2)
-    lo = floor(-half) - root - 1
-    hi = floor(-half) + root + 1
-    return range(lo, hi + 1)
+    _, xs, ys = _ideal_arrays(ctx.d, bound)
+    ideals = [PrincipalIdeal.of(ctx.elem(int(x), int(y)))
+              for x, y in zip(xs, ys)]
+    return sorted(ideals, key=lambda i: (i.norm, _assoc_key(i.gen)))

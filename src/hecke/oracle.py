@@ -106,7 +106,7 @@ class _Universe:
     """
 
     __slots__ = ("ctx", "t", "n", "ids", "reps", "levels",
-                 "ycoords", "xrec", "xrecs", "prod", "inv", "phi", "std")
+                 "ycoords", "xrec", "xrecs", "prod", "phi", "std")
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
@@ -119,7 +119,6 @@ class _Universe:
         self.xrec: list[tuple] = []
         self.xrecs: dict = {}
         self.prod: dict = {}
-        self.inv: dict = {}
         self.phi: dict = {}
         self.std: dict = {}
 
@@ -208,13 +207,6 @@ class _Universe:
         got = self._core(y0j * dd + p0 * ydj, y1j * dd + p1 * ydj,
                          ydj * dd, rec)
         self.prod[key] = got
-        return got
-
-    def inv_id(self, i: int) -> int:
-        got = self.inv.get(i)
-        if got is None:
-            got = self.elem_id(self.reps[i].inverse())
-            self.inv[i] = got
         return got
 
 

@@ -9,10 +9,6 @@ where delta generates the different ideal (delta = 1 over Q), so the
 value is an exact root of unity.  The exponent does not depend on the
 integral lift of w as long as the denominator of r divides c, because
 Tr(O/delta) lies in Z; the tests check this rather than assume it.
-
-Unit residues modulo c form the group (O/cO)*; the image of the global
-units O* inside it is the subgroup that acts trivially on symmetric
-data, and the quotient is the level-c symmetry group.
 """
 from __future__ import annotations
 
@@ -25,10 +21,7 @@ from .numberfield import (FieldCtx, FieldElem, canonical_generator,
                           reduce_mod, residues)
 from .torsion import TorsionClass, denominator_element, torsion_points
 
-__all__ = [
-    "CharacterPoint", "pair", "pair_exponent", "character_laws",
-    "unit_residues", "unit_image", "symmetry_group_at_level",
-]
+__all__ = ["CharacterPoint", "pair", "pair_exponent", "character_laws"]
 
 
 def _elem_key(x: FieldElem):
@@ -116,36 +109,6 @@ def pair_exponent(r: TorsionClass, chi: CharacterPoint) -> Fraction:
 def pair(r: TorsionClass, chi: CharacterPoint) -> CycloNum:
     """The duality pairing <r, chi> as an exact root of unity."""
     return from_exponent(pair_exponent(r, chi))
-
-
-def unit_residues(c: FieldElem) -> tuple[FieldElem, ...]:
-    """The group (O/cO)* as sorted canonical residues."""
-    return tuple(sorted((x for x in residues(c) if is_coprime(x, c)),
-                        key=_elem_key))
-
-
-def unit_image(c: FieldElem) -> tuple[FieldElem, ...]:
-    """The image of the global units O* inside (O/cO)*."""
-    return tuple(sorted({reduce_mod(u, c) for u in c.ctx.units},
-                        key=_elem_key))
-
-
-def symmetry_group_at_level(c: FieldElem) -> list[FieldElem]:
-    """Canonical coset representatives of (O/cO)* / image(O*).
-
-    This quotient is the level-c symmetry group acting on extreme
-    characters; its order times |image(O*)| is |(O/cO)*|.
-    """
-    img = unit_image(c)
-    seen: set = set()
-    reps: list[FieldElem] = []
-    for w in unit_residues(c):
-        if w in seen:
-            continue
-        coset = {reduce_mod(w * u, c) for u in img}
-        seen |= coset
-        reps.append(min(coset, key=_elem_key))
-    return sorted(reps, key=_elem_key)
 
 
 def character_laws(chi: CharacterPoint) -> dict:

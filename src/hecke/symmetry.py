@@ -1,13 +1,15 @@
 """The level-c symmetry group and its two actions on ground states.
 
-Unit residues modulo c, taken modulo the image of the global units,
-form a finite group.  It acts on character points by multiplication
-(the geometric action, which transports extreme states to each other)
-and on cyclotomic state values through the field norm, raising each
-root of unity to the power N(t) for an integral lift t (the arithmetic
-action).  compare_actions evaluates one instance of each and decides
-exact equality; the two agree on every input over the rationals and
-disagree already at level 5 over the Gaussian integers.
+Unit residues modulo c form the group (O/cO)*; the image of the global
+units O* inside it is the subgroup that acts trivially on symmetric
+data, and the quotient is the level-c symmetry group.  level_group
+builds it once per level.  It acts on character points by
+multiplication (the geometric action, which transports extreme states
+to each other) and on cyclotomic state values through the field norm,
+raising each root of unity to the power N(t) for an integral lift t
+(the arithmetic action).  compare_actions evaluates one instance of
+each and decides exact equality; the two agree on every input over the
+rationals and disagree already at level 5 over the Gaussian integers.
 
 A SymmetryElem remembers the residue it was built from, so that acting
 on a character point is deterministic, but equality and hashing use the
@@ -17,41 +19,62 @@ unit are the same group element.
 from __future__ import annotations
 
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .cyclotomic import CycloNum
 from .kms import phi_extreme_infty
 from .numberfield import (FieldCtx, FieldElem, canonical_generator,
-                          is_coprime, reduce_mod)
-from .pairing import (CharacterPoint, _elem_key, symmetry_group_at_level,
-                      unit_image, unit_residues)
+                          is_coprime, reduce_mod, residues)
+from .pairing import CharacterPoint, _elem_key
 from .torsion import TorsionClass, torsion_class, torsion_points
 
 __all__ = [
-    "SymmetryElem", "act_geometric", "act_arithmetic", "compare_actions",
-    "regularity_check", "group_elements",
+    "LevelGroup", "level_group", "SymmetryElem", "act_geometric",
+    "act_arithmetic", "compare_actions", "regularity_check",
+    "group_elements",
 ]
+
+
+class LevelGroup(NamedTuple):
+    """The group (O/cO)*/image(O*) at one canonical level c.
+
+    units: (O/cO)* as sorted canonical residues; image: the image of O*
+    in it; reps: the sorted coset representatives, each the smallest
+    residue of its coset; rep_of: every unit residue to its coset
+    representative.  len(units) == len(image) * len(reps).
+    """
+
+    c: FieldElem
+    units: tuple
+    image: tuple
+    reps: tuple
+    rep_of: dict
+
 
 _level_cache: dict = {}
 
 
-def _level_data(c: FieldElem):
-    """Unit residues, unit image, and an orbit-representative map mod c."""
+def level_group(c: FieldElem) -> LevelGroup:
+    """The symmetry group at the level generated by c, built once."""
     cc = canonical_generator(c)
-    key = (cc.ctx.d, cc.c0, cc.c1)
-    hit = _level_cache.get(key)
+    hit = _level_cache.get(cc)
     if hit is not None:
         return hit
-    units = unit_residues(cc)
-    img = unit_image(cc)
-    rep_of = {}
+    units = tuple(sorted((x for x in residues(cc) if is_coprime(x, cc)),
+                         key=_elem_key))
+    image = tuple(sorted({reduce_mod(u, cc) for u in cc.ctx.units},
+                         key=_elem_key))
+    rep_of: dict = {}
     for w in units:
-        orbit = [reduce_mod(w * u, cc) for u in img]
-        rep = min(orbit, key=_elem_key)
-        for z in orbit:
-            rep_of[_elem_key(z)] = rep
-    data = (cc, units, img, rep_of)
-    _level_cache[key] = data
-    return data
+        if w in rep_of:
+            continue
+        coset = [reduce_mod(w * u, cc) for u in image]
+        rep = min(coset, key=_elem_key)
+        for z in coset:
+            rep_of[z] = rep
+    reps = tuple(sorted(set(rep_of.values()), key=_elem_key))
+    hit = _level_cache[cc] = LevelGroup(cc, units, image, reps, rep_of)
+    return hit
 
 
 class SymmetryElem:
@@ -70,23 +93,23 @@ class SymmetryElem:
     def make(cls, ctx: FieldCtx, c, j) -> "SymmetryElem":
         if not isinstance(c, FieldElem):
             c = ctx.elem(c)
-        cc, _, _, rep_of = _level_data(c)
+        grp = level_group(c)
         jj = j if isinstance(j, FieldElem) else ctx.elem(j)
         if not jj.is_integral:
             raise ValueError("symmetry residue must be integral")
-        jj = reduce_mod(jj, cc)
-        if not is_coprime(jj, cc):
-            raise ValueError(f"residue {jj!r} is not invertible mod {cc!r}")
-        return cls(ctx, cc, jj, rep_of[_elem_key(jj)])
+        jj = reduce_mod(jj, grp.c)
+        rep = grp.rep_of.get(jj)
+        if rep is None:
+            raise ValueError(f"residue {jj!r} is not invertible mod {grp.c!r}")
+        return cls(ctx, grp.c, jj, rep)
 
     @classmethod
     def identity(cls, ctx: FieldCtx, c) -> "SymmetryElem":
         return cls.make(ctx, c, 1)
 
     def is_identity(self) -> bool:
-        _, _, _, rep_of = _level_data(self.c)
-        return _elem_key(self.rep) == _elem_key(
-            rep_of[_elem_key(reduce_mod(self.ctx.one, self.c))])
+        return self.rep == level_group(self.c).rep_of[
+            reduce_mod(self.ctx.one, self.c)]
 
     def __mul__(self, other: "SymmetryElem") -> "SymmetryElem":
         if not isinstance(other, SymmetryElem):
@@ -96,9 +119,8 @@ class SymmetryElem:
         return SymmetryElem.make(self.ctx, self.c, self.j * other.j)
 
     def inverse(self) -> "SymmetryElem":
-        _, units, _, _ = _level_data(self.c)
         one = reduce_mod(self.ctx.one, self.c)
-        for z in units:
+        for z in level_group(self.c).units:
             if reduce_mod(self.j * z, self.c) == one:
                 return SymmetryElem.make(self.ctx, self.c, z)
         raise ValueError("no inverse found; residue not a unit")
@@ -118,9 +140,8 @@ class SymmetryElem:
 
 def group_elements(c: FieldElem) -> list[SymmetryElem]:
     """The full symmetry group at level c, by canonical representatives."""
-    ctx = c.ctx
-    return [SymmetryElem.make(ctx, c, w)
-            for w in symmetry_group_at_level(canonical_generator(c))]
+    grp = level_group(c)
+    return [SymmetryElem.make(c.ctx, grp.c, w) for w in grp.reps]
 
 
 def act_geometric(g: SymmetryElem, chi: CharacterPoint) -> CharacterPoint:
@@ -225,31 +246,26 @@ def regularity_check(c: FieldElem) -> dict:
     stabilizers; and moving the character matches moving the torsion
     class (state transport).
     """
-    cc, units, img, rep_of = _level_data(c)
+    cc, units, _, reps, rep_of = level_group(c)
     ctx = cc.ctx
-    reps = symmetry_group_at_level(cc)
     order = len(reps)
     pts = torsion_points(cc)
 
     tuples = {}
     for w in units:
         chi = CharacterPoint.make(ctx, cc, w)
-        tuples[_elem_key(w)] = _state_signature(
-            [phi_extreme_infty(r, chi) for r in pts])
+        tuples[w] = _state_signature([phi_extreme_infty(r, chi) for r in pts])
     extreme_classes = len(set(tuples.values()))
     counts_match = extreme_classes == order
-    orbits_align = all(
-        tuples[_elem_key(w)] == tuples[_elem_key(rep_of[_elem_key(w)])]
-        for w in units)
+    orbits_align = all(tuples[w] == tuples[rep_of[w]] for w in units)
 
     base = reps[0]
-    moved = {_elem_key(rep_of[_elem_key(reduce_mod(j * base, cc))])
-             for j in reps}
-    transitive = moved == {_elem_key(w) for w in reps}
+    moved = {rep_of[reduce_mod(j * base, cc)] for j in reps}
+    transitive = moved == set(reps)
 
-    one_rep = rep_of[_elem_key(reduce_mod(ctx.one, cc))]
+    one_rep = rep_of[reduce_mod(ctx.one, cc)]
     free = all(
-        rep_of[_elem_key(reduce_mod(j * w, cc))] != w
+        rep_of[reduce_mod(j * w, cc)] != w
         for j in reps if j != one_rep
         for w in reps)
 

@@ -19,11 +19,12 @@ from hecke.kms import (KmsParams, eigenvalue_list, kms_identity_check,
                        phi_extreme_beta, phi_extreme_infty, phi_symmetric,
                        phi_symmetric_element, zeta_k)
 from hecke.numberfield import (canonical_generator, gcd_gen, ideals_up_to,
-                               is_coprime, make_ctx, residues)
+                               is_coprime, kronecker_symbol, make_ctx,
+                               residues)
 from hecke.oracle import GroupElem, count_R, verify_equivalence
-from hecke.pairing import CharacterPoint, symmetry_group_at_level
+from hecke.pairing import CharacterPoint
 from hecke.symmetry import (SymmetryElem, compare_actions, group_elements,
-                            regularity_check)
+                            level_group, regularity_check)
 from hecke.torsion import torsion_class, torsion_points, unit_orbit
 
 Q = make_ctx(0)
@@ -179,8 +180,14 @@ def test_criterion_6_partition_function_and_spectrum():
     tail = (math.pi / 2) / (L * L) * 1.5
     assert abs(vg - lattice) <= tail + eg < 1e-6
 
+    # the spectrum: log n with multiplicity a_K(n) = sum_(m | n) chi_D(m)
     for ctx, bound in [(Q, 12), (GAUSS, 12), (GAUSS, 6)]:
-        want = sorted(math.log(int(i.norm)) for i in ideals_up_to(ctx, bound))
+        want = []
+        for n in range(1, bound + 1):
+            count = 1 if ctx.is_rational else sum(
+                kronecker_symbol(ctx.discriminant, m)
+                for m in range(1, n + 1) if n % m == 0)
+            want += [math.log(n)] * count
         assert eigenvalue_list(ctx, bound) == want
 
 
@@ -201,7 +208,7 @@ def test_criterion_7_extreme_state_structure():
             assert report["all_ok"], (ctx.tag, c)
             assert report["group_order"] == report["extreme_classes"]
 
-            reps = symmetry_group_at_level(c)
+            reps = level_group(c).reps
             for r in torsion_points(c):
                 vals, errs = [], []
                 for w in reps:
@@ -226,7 +233,7 @@ def test_criterion_8_galois_comparison():
     for cval in (4, 5, 8):
         c = Q.elem(cval)
         for g in group_elements(c):
-            for w in symmetry_group_at_level(c):
+            for w in level_group(c).reps:
                 chi = CharacterPoint.make(Q, c, w)
                 for r in torsion_points(c):
                     assert compare_actions(r, chi, g)["equal"]

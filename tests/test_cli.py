@@ -173,3 +173,24 @@ def test_nonzero_exit_on_unsound_regularity_never_triggers_here():
     # all supported levels are regular; exercise the passing path only
     data = run_ok("regularity", "--field", "d3", "--level", "2")
     assert data["group_order"] == 1
+
+
+def test_exit_codes_without_traceback():
+    # exit 2 for malformed input, 1 for a domain failure, never an
+    # uncaught exception
+    cases = [
+        (["kms", "--beta", "-3", "--r", "(1)/(2)"], 1),
+        (["kms", "--beta", "0", "--r", "(1)/(2)"], 1),
+        (["kms", "--beta", "abc", "--r", "(1)/(2)"], 2),
+        (["kms", "--beta", "abc", "--extreme", "--level", "5",
+          "--r", "(1)/(5)"], 2),
+        (["mul", "--field", "Q", "mu(0)", "id"], 1),
+        (["zeta", "--beta", "1.0000001"], 1),
+        (["zeta", "--tol", "0"], 1),
+    ]
+    runner = CliRunner()
+    for args, code in cases:
+        res = runner.invoke(main, args)
+        assert res.exit_code == code, (args, res.output)
+        assert res.exception is None or isinstance(res.exception,
+                                                   SystemExit), args

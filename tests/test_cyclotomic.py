@@ -7,11 +7,16 @@ also confirmed numerically, and vice versa classic closed forms
 """
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from hecke.cyclotomic import CycloNum, from_exponent, root_of_unity
+import hecke.cyclotomic
+from hecke.cyclotomic import (CycloNum, _reduction_tail, from_exponent,
+                              root_of_unity)
 
 
 def embed(v: CycloNum) -> complex:
@@ -152,7 +157,8 @@ def test_from_exponent_reduces_mod_one():
 
 def test_minimal_polynomial_vanishes():
     # independent route: sympy's cyclotomic polynomial evaluated at the
-    # symbolic root must be exactly zero
+    # symbolic root must be exactly zero, and it must equal the in-house
+    # reduction polynomial below its leading term
     from sympy import Poly, Symbol, cyclotomic_poly
 
     x = Symbol("x")
@@ -165,6 +171,31 @@ def test_minimal_polynomial_vanishes():
             total = total + int(c) * power
             power = power * z
         assert total.is_zero
+    for m in range(1, 301):
+        coeffs = Poly(cyclotomic_poly(m, x), x).all_coeffs()
+        assert coeffs[0] == 1
+        assert _reduction_tail(m) == tuple(int(c) for c in reversed(coeffs[1:]))
+
+
+def test_library_runs_without_sympy():
+    # sympy is a test-only reference: the CLI and a ground-state value
+    # must not import it
+    code = (
+        "import sys\n"
+        "import hecke.cli\n"
+        "from hecke.kms import phi_extreme_infty\n"
+        "from hecke.numberfield import make_ctx\n"
+        "from hecke.pairing import CharacterPoint\n"
+        "from hecke.torsion import torsion_points\n"
+        "ctx = make_ctx(1)\n"
+        "chi = CharacterPoint.make(ctx, 5, 1)\n"
+        "phi_extreme_infty(torsion_points(ctx.elem(5))[1], chi)\n"
+        "assert 'sympy' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(hecke.cyclotomic.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_promotion_validation():

@@ -25,9 +25,10 @@ from hecke.kms import (KmsParams, eigenvalue_list, ideal_norms_up_to,
                        kms_identity_check, partial_zeta, phi_extreme_beta,
                        phi_extreme_infty, phi_symmetric,
                        phi_symmetric_element, phi_symmetric_monomial, zeta_k)
-from hecke.numberfield import (canonical_generator, factor, ideals_up_to,
-                               kronecker_symbol, make_ctx)
-from hecke.pairing import CharacterPoint, unit_residues
+from hecke.numberfield import (SUPPORTED_D, canonical_generator, factor,
+                               ideals_up_to, kronecker_symbol, make_ctx)
+from hecke.pairing import CharacterPoint
+from hecke.symmetry import level_group
 from hecke.torsion import torsion_class, torsion_points
 
 Q = make_ctx(0)
@@ -61,8 +62,8 @@ def phi_oracle(b, beta: int) -> Fraction:
         for f in divisors_of(e):
             if (f.c0, f.c1) == key:
                 continue
-            total -= len(unit_residues(f)) * solve(f)
-        memo[key] = total / len(unit_residues(e))
+            total -= len(level_group(f).units) * solve(f)
+        memo[key] = total / len(level_group(e).units)
         return memo[key]
 
     return solve(canonical_generator(b))
@@ -77,7 +78,7 @@ def test_symmetric_state_matches_partition_oracle():
                 b = ctx.elem(dval)
                 want = phi_oracle(b, beta)
                 # every class of exact denominator b gives the same value
-                for y in unit_residues(b)[:3]:
+                for y in level_group(b).units[:3]:
                     r = torsion_class(y / b)
                     assert phi_symmetric(r, beta) == want
     # quadratic prime elements too
@@ -99,6 +100,9 @@ def test_symmetric_state_frozen_values():
     assert phi_symmetric(half_q, 1) == 0
     # float branch agrees with the exact one
     assert phi_symmetric(half_q, 2.0) == pytest.approx(-0.5)
+    for bad in (0, -3, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            phi_symmetric(half_q, bad)
 
 
 def test_monomial_state_vanishes_off_diagonal():
@@ -175,28 +179,24 @@ def test_kms_identity_rejects_bad_beta():
         kms_identity_check(identity(Q), identity(Q), 1.5)
 
 
-def test_ideal_enumeration_against_small_oracle():
-    for d in (0, 1, 3, 7, 163):
-        ctx = make_ctx(d)
-        got = ideal_norms_up_to(ctx, 60)
-        want = sorted(int(i.norm) for i in ideals_up_to(ctx, 60))
-        assert got == want
-
-
 def test_ideal_counts_against_divisor_sums():
-    # a_K(n) = sum of the Kronecker character over divisors of n
-    for d in (0, 1, 3, 7):
+    # a_K(n) = sum of the Kronecker character over divisors of n, for the
+    # norm arrays and for the exact ideal list built from them
+    for d in SUPPORTED_D:
         ctx = make_ctx(d)
         bound = 120
         counts = np.bincount(ideal_norms_up_to(ctx, bound),
                              minlength=bound + 1)
+        ideals = ideals_up_to(ctx, bound)
+        assert len({i.gen for i in ideals}) == len(ideals)
+        exact = np.bincount([i.norm for i in ideals], minlength=bound + 1)
         for n in range(1, bound + 1):
             if ctx.is_rational:
                 want = 1
             else:
                 want = sum(kronecker_symbol(ctx.discriminant, m)
                            for m in range(1, n + 1) if n % m == 0)
-            assert counts[n] == want, (d, n)
+            assert counts[n] == exact[n] == want, (d, n)
 
 
 def test_eigenvalue_list_frozen():
@@ -236,6 +236,11 @@ def test_zeta_monotone_in_beta_and_errors():
     assert e5 < e3 < 1e-6
     with pytest.raises(ValueError):
         zeta_k(Q, 1)
+    with pytest.raises(ValueError):
+        zeta_k(Q, 1.0000001)  # the prime-bound formula overflows
+    for tol in (0.0, -1e-7):
+        with pytest.raises(ValueError):
+            zeta_k(Q, 2, tol=tol)
 
 
 def test_partial_zeta_exact_and_float():
@@ -311,7 +316,7 @@ def test_extreme_average_recovers_symmetric_state():
         c = ctx.elem(cval)
         r = torsion_class(ctx.elem(rnum) / c)
         vals = []
-        for w in unit_residues(c):
+        for w in level_group(c).units:
             chi = CharacterPoint.make(ctx, c, w)
             v, err = phi_extreme_beta(r, chi, params)
             vals.append(v)
@@ -348,13 +353,11 @@ def test_extreme_beta_validates_inputs():
 
 def test_state_tuples_distinguish_symmetry_classes():
     # the ground-state value tuples separate character classes
-    from hecke.pairing import symmetry_group_at_level
-
     for ctx, cval in [(Q, 5), (Q, 8), (GAUSS, 5), (EISEN, 7)]:
         c = ctx.elem(cval)
         pts = torsion_points(c)
         tuples = []
-        for w in symmetry_group_at_level(c):
+        for w in level_group(c).reps:
             chi = CharacterPoint.make(ctx, c, w)
             tuples.append([phi_extreme_infty(r, chi) for r in pts])
         for i in range(len(tuples)):

@@ -111,11 +111,13 @@ def congruent(x, y, a):
 
 def test_residues_are_a_transversal():
     # size, pairwise incongruence, and reduction membership, several fields
-    cases = [(0, (1, 2, 7)), (1, (2, 5)), (3, (2, 3)), (19, (3,))]
+    cases = [(0, (1, 2, 7)), (1, (2, 5)), (3, (2, 3)), (19, (3,)),
+             (2, (2, 3)), (7, (2, 4)), (11, (3, 4)), (43, (4, 11)),
+             (67, (4, 17)), (163, (4, 41))]
     for d, norms_src in cases:
         ctx = make_ctx(d)
         elems = [ctx.elem(2), ctx.elem(3)] if ctx.is_rational else \
-            [e for n in norms_src for e in elements_of_norm(ctx, n)][:4]
+            [e for n in norms_src for e in elements_of_norm(ctx, n)[:4]]
         for a in elems:
             reps = residues(a)
             assert len(reps) == a.norm()

@@ -14,10 +14,10 @@ from fractions import Fraction
 import pytest
 
 from hecke.cyclotomic import CycloNum, root_of_unity
-from hecke.numberfield import make_ctx, reduce_mod, residues
-from hecke.pairing import (CharacterPoint, character_laws, pair,
-                           pair_exponent, symmetry_group_at_level,
-                           unit_image, unit_residues)
+from hecke.numberfield import (divide_exact, factor, make_ctx, reduce_mod,
+                               residues)
+from hecke.pairing import CharacterPoint, character_laws, pair, pair_exponent
+from hecke.symmetry import level_group
 from hecke.torsion import (denominator_element, stabilizer_index,
                            torsion_class, torsion_points)
 
@@ -94,7 +94,7 @@ def test_unit_image_orders():
     for ctx, cval in [(Q, 8), (GAUSS, 5), (GAUSS, 2), (EISEN, 2),
                       (EISEN, 3), (EISEN, 5)]:
         c = ctx.elem(cval)
-        img = unit_image(c)
+        img = level_group(c).image
         orbit = stabilizer_index(torsion_class(1 / c))
         assert len(img) == orbit
 
@@ -102,33 +102,42 @@ def test_unit_image_orders():
 def test_frozen_group_orders():
     # Z[i]/5: 16 units, image {1,i,-1,-i}, quotient of order 4
     c5 = GAUSS.elem(5)
-    assert len(unit_residues(c5)) == 16
-    assert len(unit_image(c5)) == 4
-    assert len(symmetry_group_at_level(c5)) == 4
+    assert len(level_group(c5).units) == 16
+    assert len(level_group(c5).image) == 4
+    assert len(level_group(c5).reps) == 4
     # Z/8: 4 units, image {1,7}, quotient of order 2
     c8 = Q.elem(8)
-    assert len(unit_residues(c8)) == 4
-    assert len(unit_image(c8)) == 2
-    assert len(symmetry_group_at_level(c8)) == 2
+    assert len(level_group(c8).units) == 4
+    assert len(level_group(c8).image) == 2
+    assert len(level_group(c8).reps) == 2
     # d=3 at 2: (O/2)* = F_4* has order 3 = |unit image|, trivial quotient
     c2 = EISEN.elem(2)
-    assert len(unit_residues(c2)) == 3
-    assert len(unit_image(c2)) == 3
-    assert len(symmetry_group_at_level(c2)) == 1
+    assert len(level_group(c2).units) == 3
+    assert len(level_group(c2).image) == 3
+    assert len(level_group(c2).reps) == 1
     # trivial level
-    assert len(symmetry_group_at_level(Q.one)) == 1
+    assert len(level_group(Q.one).reps) == 1
 
 
 def test_quotient_order_formula():
-    for ctx, cvals in [(Q, [1, 2, 3, 4, 5, 6, 8, 12]),
-                       (GAUSS, [1, 2, 3, 5]),
-                       (EISEN, [2, 3, 4, 5])]:
+    # |(O/c)*| = N(c) prod_(p | c) (1 - 1/N(p)), and the unit image has
+    # order |O*| / #{u in O* : u = 1 mod c}
+    cases = [(Q, [1, 2, 3, 4, 5, 6, 8, 12]), (GAUSS, [1, 2, 3, 5]),
+             (EISEN, [2, 3, 4, 5])]
+    cases += [(make_ctx(d), [2, 3, make_ctx(d).omega])
+              for d in (2, 7, 11, 43, 67, 163)]
+    for ctx, cvals in cases:
         for cval in cvals:
-            c = ctx.elem(cval)
-            total = len(unit_residues(c))
-            img = len(unit_image(c))
-            quot = len(symmetry_group_at_level(c))
-            assert total == img * quot
+            c = ctx.elem(cval) if isinstance(cval, int) else cval
+            grp = level_group(c)
+            phi = Fraction(int(c.norm()))
+            for p, _ in factor(c):
+                phi *= 1 - Fraction(1, p.norm)
+            fixed = sum(1 for u in ctx.units
+                        if divide_exact(u - 1, c) is not None)
+            assert len(grp.units) == phi
+            assert len(grp.image) == len(ctx.units) // fixed
+            assert len(grp.units) == len(grp.image) * len(grp.reps)
 
 
 def test_projective_system_coherence():
@@ -136,8 +145,8 @@ def test_projective_system_coherence():
     for ctx, a, b in [(Q, 4, 8), (Q, 3, 12), (GAUSS, 2, 4),
                       (EISEN, 2, 4)]:
         small, big = ctx.elem(a), ctx.elem(b)
-        img_small = set(unit_image(small))
-        pushed = {reduce_mod(w, small) for w in unit_image(big)}
+        img_small = set(level_group(small).image)
+        pushed = {reduce_mod(w, small) for w in level_group(big).image}
         assert pushed == img_small
 
 
@@ -151,7 +160,7 @@ def test_character_laws_exhaustive_small_levels():
                        (EISEN, [2, 3])]:
         for cval in cvals:
             c = ctx.elem(cval)
-            for w in unit_residues(c)[:4]:
+            for w in level_group(c).units[:4]:
                 rep = character_laws(CharacterPoint.make(ctx, c, w))
                 assert rep["all_ok"], rep
 
@@ -169,7 +178,7 @@ def test_unit_multiple_of_delta_relabels_w():
         c = ctx.elem(5)
         for u in ctx.units:
             uinv = next(v for v in ctx.units if u * v == 1)
-            for w in unit_residues(c)[:3]:
+            for w in level_group(c).units[:3]:
                 chi = CharacterPoint.make(ctx, c, w)
                 twisted = chi.twisted(uinv)
                 for r in torsion_points(c)[:8]:

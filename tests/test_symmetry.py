@@ -15,10 +15,9 @@ import pytest
 from hecke.cyclotomic import CycloNum, from_exponent, root_of_unity
 from hecke.kms import phi_extreme_infty
 from hecke.numberfield import ideals_up_to, make_ctx, reduce_mod
-from hecke.pairing import (CharacterPoint, pair, symmetry_group_at_level,
-                           unit_image)
+from hecke.pairing import CharacterPoint, pair
 from hecke.symmetry import (SymmetryElem, act_arithmetic, act_geometric,
-                            compare_actions, group_elements,
+                            compare_actions, group_elements, level_group,
                             regularity_check)
 from hecke.torsion import torsion_class, torsion_points
 
@@ -88,8 +87,8 @@ def test_geometric_action_composes_and_is_transitive():
     # the orbit of chi_1 meets every symmetry class exactly once
     moved = [act_geometric(g, chi).w for g in els]
     assert len(set((w.c0, w.c1) for w in moved)) == len(els)
-    reps = symmetry_group_at_level(c)
-    img = unit_image(c)
+    reps = level_group(c).reps
+    img = level_group(c).image
     classes = set()
     for w in moved:
         orbit = [reduce_mod(w * u, c) for u in img]
@@ -147,7 +146,7 @@ def test_compare_actions_always_equal_over_q():
         c = Q.elem(cval)
         els = group_elements(c)
         for g in els:
-            for w in symmetry_group_at_level(c):
+            for w in level_group(c).reps:
                 chi = CharacterPoint.make(Q, c, w)
                 for r in torsion_points(c):
                     rep = compare_actions(r, chi, g)
