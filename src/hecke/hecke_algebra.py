@@ -94,31 +94,23 @@ class Monomial:
                 best = cand
         return cls(ctx, a, best, b)
 
-    def _key(self):
-        return (self.a.c0, self.a.c1, self.b.c0, self.b.c1,
-                self.r.rep.c0, self.r.rep.c1)
-
     def __eq__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        return self.ctx == other.ctx and self._key() == other._key()
+        return (self.a == other.a and self.b == other.b
+                and self.r.rep == other.r.rep)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            rep = self.r.rep
-            h = self._hash = hash(
-                (self.ctx.d,
-                 self.a.c0.numerator, self.a.c0.denominator,
-                 self.a.c1.numerator, self.a.c1.denominator,
-                 self.b.c0.numerator, self.b.c0.denominator,
-                 self.b.c1.numerator, self.b.c1.denominator,
-                 rep.c0.numerator, rep.c0.denominator,
-                 rep.c1.numerator, rep.c1.denominator))
+            h = self._hash = hash((self.a, self.b, self.r.rep))
         return h
 
     def sort_key(self):
-        return (self.a.norm(), self.b.norm()) + self._key()
+        # the slots are integral, so their numerators order them by value
+        a, b = self.a, self.b
+        return (a.norm(), b.norm(), a.e0, a.e1, b.e0, b.e1) \
+            + self.r.sort_key()
 
     @property
     def level(self) -> int:

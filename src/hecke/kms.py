@@ -21,10 +21,11 @@ computed as an Euler product with a certified truncation bound.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, inf, log, pi
+from math import exp, inf, log, log10, pi
 from typing import Union
 
 import numpy as np
@@ -68,25 +69,36 @@ class KmsParams:
 
 def phi_symmetric(r: TorsionClass, beta: Number):
     """The symmetric equilibrium value on theta_r; exact when beta is an
-    integer, float otherwise.  beta must be finite and positive."""
+    integer, float otherwise.  beta must be finite and positive, and an
+    exact value with more digits than Python prints raises ValueError."""
     if not 0 < beta < inf:
         raise ValueError(f"beta must be finite and positive, not {beta}")
     b = denominator_element(r)
-    nb = int(b.norm())
+    # one factor per prime power p^e || b,
+    #   (N_p^(-e beta) - N_p^((1-e) beta - 1)) / (1 - 1/N_p),
+    # whose exponents are all negative, so no power overflows
     exact = isinstance(beta, int) or (
         isinstance(beta, Fraction) and beta.denominator == 1)
     if exact:
         k = int(beta)
-        val = Fraction(1, nb) ** k
-        for ideal, _ in factor(b):
+        # 0 means no limit, as on Pythons without the limit
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and k * log10(b.norm()) > limit:
+            raise ValueError(
+                f"the exact value at beta={k} has more than {limit} digits, "
+                "the limit of sys.get_int_max_str_digits(); pass beta as a "
+                "float for a numeric value")
+        val = Fraction(1)
+        for ideal, e in factor(b):
             np_ = int(ideal.norm)
-            val *= Fraction((1 - np_ ** (k - 1)) * np_, np_ - 1)
+            val *= Fraction((1 - np_ ** (k - 1)) * np_,
+                            np_ ** (e * k) * (np_ - 1))
         return val
     bf = float(beta)
-    val = nb ** (-bf)
-    for ideal, _ in factor(b):
+    val = 1.0
+    for ideal, e in factor(b):
         np_ = int(ideal.norm)
-        val *= (1 - np_ ** (bf - 1)) / (1 - 1 / np_)
+        val *= (np_ ** (-e * bf) - np_ ** ((1 - e) * bf - 1)) / (1 - 1 / np_)
     return val
 
 

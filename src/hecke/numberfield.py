@@ -6,17 +6,20 @@ d in {1, 2, 3, 7, 11, 19, 43, 67, 163}.  Its ring of integers is
 O = Z + Z*omega with omega = sqrt(-d) when -d = 2, 3 (mod 4) and
 omega = (1 + sqrt(-d))/2 when -d = 1 (mod 4); in both cases omega
 satisfies omega^2 = t*omega - n with t in {0, 1}.  Every element is
-stored as a pair of exact rationals over the basis (1, omega), so all
-ring operations, norms, residue systems, gcds and factorizations here
-are exact.  Because the class number is one every ideal is principal,
-which is what makes the generator searches below terminate.
+stored as reduced integers (e0 + e1*omega)/q over the basis (1, omega),
+so all ring operations, norms, residue systems, gcds and factorizations
+here are exact; the engine, torsion, the pairing and the coset oracle
+all share this one core.  Because the class number is one every ideal
+is principal, which is what makes the generator searches below
+terminate.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd, isqrt
+from math import gcd as _int_gcd, isqrt, lcm
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .errors import UnsupportedFieldError
 SUPPORTED_D = (0, 1, 2, 3, 7, 11, 19, 43, 67, 163)
 
 _TRIAL_BOUND = 10 ** 6
+_HASH_P = sys.hash_info.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -171,29 +175,31 @@ class FieldCtx:
         else:
             self.t, self.n = 0, d
             self.discriminant = -4 * d
-        self.zero = FieldElem(self, Fraction(0), Fraction(0))
-        self.one = FieldElem(self, Fraction(1), Fraction(0))
+        self.zero = FieldElem(self, 0, 0, 1)
+        self.one = FieldElem(self, 1, 0, 1)
         if d == 0:
             self.omega = self.zero
             self.delta = self.one
             self.units = (self.one, -self.one)
         else:
-            self.omega = FieldElem(self, Fraction(0), Fraction(1))
-            if self.t == 0:
-                self.delta = FieldElem(self, Fraction(0), Fraction(2))
-            else:
-                self.delta = FieldElem(self, Fraction(-1), Fraction(2))
+            self.omega = FieldElem(self, 0, 1, 1)
+            self.delta = FieldElem(self, -self.t, 2, 1)
             if d == 1:
                 coords = [(1, 0), (-1, 0), (0, 1), (0, -1)]
             elif d == 3:
                 coords = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)]
             else:
                 coords = [(1, 0), (-1, 0)]
-            self.units = tuple(
-                FieldElem(self, Fraction(a), Fraction(b)) for a, b in coords)
+            self.units = tuple(FieldElem(self, a, b, 1) for a, b in coords)
 
     def elem(self, c0, c1=0) -> FieldElem:
-        return FieldElem(self, Fraction(c0), Fraction(c1))
+        """The element c0 + c1*omega for integer or rational c0, c1."""
+        if isinstance(c0, int) and isinstance(c1, int):
+            return FieldElem(self, c0, c1, 1)
+        c0, c1 = Fraction(c0), Fraction(c1)
+        q = lcm(c0.denominator, c1.denominator)
+        return FieldElem(self, c0.numerator * (q // c0.denominator),
+                         c1.numerator * (q // c1.denominator), q)
 
     @property
     def tag(self) -> str:
@@ -231,41 +237,74 @@ def ctx_from_tag(tag: str) -> FieldCtx:
 
 
 class FieldElem:
-    """An element c0 + c1*omega of K with exact rational coordinates."""
+    """An element (e0 + e1*omega)/q of K, stored as reduced integers.
 
-    __slots__ = ("ctx", "c0", "c1")
+    The constructor normalizes to q >= 1 and gcd(e0, e1, q) = 1, with
+    e1 = 0 on Q, so equal elements have equal triples (Cohen, A Course in
+    Computational Algebraic Number Theory, GTM 138, 4.2).  c0 and c1 are
+    the rational coordinates, for formatting and value ordering.
+    """
 
-    def __init__(self, ctx: FieldCtx, c0: Fraction, c1: Fraction = Fraction(0)):
-        if ctx.is_rational and c1:
+    __slots__ = ("ctx", "e0", "e1", "q")
+
+    def __init__(self, ctx: FieldCtx, e0: int, e1: int, q: int):
+        if q != 1:
+            if q <= 0:
+                if not q:
+                    raise ZeroDivisionError("zero denominator")
+                e0, e1, q = -e0, -e1, -q
+            g = _int_gcd(e0, e1, q)
+            if g != 1:
+                e0 //= g
+                e1 //= g
+                q //= g
+        if e1 and ctx.is_rational:
             raise ValueError("rational field has no omega component")
         self.ctx = ctx
-        self.c0 = c0
-        self.c1 = c1
+        self.e0 = e0
+        self.e1 = e1
+        self.q = q
+
+    @property
+    def c0(self) -> Fraction:
+        return Fraction(self.e0, self.q)
+
+    @property
+    def c1(self) -> Fraction:
+        return Fraction(self.e1, self.q)
 
     # -- basic ring structure
 
     def _coerce(self, other) -> "FieldElem | None":
+        # the ring operations skip this call for an element of the same
+        # context object, their common and hot case
         if isinstance(other, FieldElem):
-            if other.ctx != self.ctx:
+            if other.ctx.d != self.ctx.d:
                 raise ValueError("elements from different fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldElem(self.ctx, Fraction(other))
+            return self.ctx.elem(other)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is FieldElem and other.ctx is self.ctx \
+            else self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.ctx, self.c0 + o.c0, self.c1 + o.c1)
+        p, q = self.q, o.q
+        return FieldElem(self.ctx, self.e0 * q + o.e0 * p,
+                         self.e1 * q + o.e1 * p, p * q)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is FieldElem and other.ctx is self.ctx \
+            else self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.ctx, self.c0 - o.c0, self.c1 - o.c1)
+        p, q = self.q, o.q
+        return FieldElem(self.ctx, self.e0 * q - o.e0 * p,
+                         self.e1 * q - o.e1 * p, p * q)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -274,31 +313,37 @@ class FieldElem:
         return o - self
 
     def __neg__(self):
-        return FieldElem(self.ctx, -self.c0, -self.c1)
+        return FieldElem(self.ctx, -self.e0, -self.e1, self.q)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is FieldElem and other.ctx is self.ctx \
+            else self._coerce(other)
         if o is None:
             return NotImplemented
-        a0, a1, b0, b1 = self.c0, self.c1, o.c0, o.c1
-        if self.ctx.is_rational:
-            return FieldElem(self.ctx, a0 * b0)
+        ctx = self.ctx
+        a0, a1, b0, b1 = self.e0, self.e1, o.e0, o.e1
         cross = a1 * b1
-        return FieldElem(self.ctx,
-                         a0 * b0 - self.ctx.n * cross,
-                         a0 * b1 + a1 * b0 + self.ctx.t * cross)
+        return FieldElem(ctx, a0 * b0 - ctx.n * cross,
+                         a0 * b1 + a1 * b0 + ctx.t * cross, self.q * o.q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is FieldElem and other.ctx is self.ctx \
+            else self._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by zero field element")
-        if self.ctx.is_rational:
-            return FieldElem(self.ctx, self.c0 / o.c0)
-        return self * o.conj() * FieldElem(self.ctx, 1 / o.field_norm())
+        # x/y = x*conj(y)/N(y), and N(y) = N(b0 + b1*omega)/q^2
+        ctx = self.ctx
+        t, n = ctx.t, ctx.n
+        a0, a1, b0, b1 = self.e0, self.e1, o.e0, o.e1
+        c0 = b0 + t * b1
+        cross = a1 * b1
+        return FieldElem(ctx, (a0 * c0 + n * cross) * o.q,
+                         (a1 * c0 - a0 * b1 - t * cross) * o.q,
+                         self.q * (b0 * b0 + t * b0 * b1 + n * b1 * b1))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -307,32 +352,44 @@ class FieldElem:
         return o / self
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.c1 == 0 and self.c0 == other
-        return (isinstance(other, FieldElem) and other.ctx == self.ctx
-                and other.c0 == self.c0 and other.c1 == self.c1)
+        if isinstance(other, FieldElem):
+            return (self.e0 == other.e0 and self.e1 == other.e1
+                    and self.q == other.q and self.ctx.d == other.ctx.d)
+        if isinstance(other, int):
+            return self.q == 1 and not self.e1 and self.e0 == other
+        if isinstance(other, Fraction):
+            return (not self.e1 and self.e0 == other.numerator
+                    and self.q == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        # Hashing the integer decomposition is much cheaper than hashing
-        # Fraction objects (whose hash needs a modular inverse).
-        c0, c1 = self.c0, self.c1
-        return hash((self.ctx.d, c0.numerator, c0.denominator,
-                     c1.numerator, c1.denominator))
+        e0, e1, q = self.e0, self.e1, self.q
+        if e1:
+            return hash((e0, e1, q))
+        # a rational element hashes like the number it equals
+        if q == 1:
+            return hash(e0)
+        if not q % _HASH_P:
+            return hash(Fraction(e0, q))
+        # hash(Fraction(e0, q)) by the rule the Python reference gives for
+        # rationals ("Hashing of numeric types"), without building one
+        h = hash(hash(abs(e0)) * pow(q, -1, _HASH_P))
+        return h if e0 >= 0 else hash(-h)
 
     # -- field-theoretic maps
 
     def conj(self) -> "FieldElem":
         """Complex conjugate (identity on Q)."""
-        if self.ctx.is_rational:
-            return self
-        return FieldElem(self.ctx, self.c0 + self.ctx.t * self.c1, -self.c1)
+        return FieldElem(self.ctx, self.e0 + self.ctx.t * self.e1, -self.e1,
+                         self.q)
 
     def field_norm(self) -> Fraction:
         """N_{K/Q} as a signed rational (equals the element itself on Q)."""
+        e0, e1, q = self.e0, self.e1, self.q
         if self.ctx.is_rational:
-            return self.c0
-        return (self.c0 * self.c0 + self.ctx.t * self.c0 * self.c1
-                + self.ctx.n * self.c1 * self.c1)
+            return Fraction(e0, q)
+        return Fraction(e0 * e0 + self.ctx.t * e0 * e1 + self.ctx.n * e1 * e1,
+                        q * q)
 
     def norm(self) -> Fraction:
         """The absolute norm |N_{K/Q}|; for integral x this is |O/xO|."""
@@ -340,22 +397,26 @@ class FieldElem:
 
     def trace(self) -> Fraction:
         if self.ctx.is_rational:
-            return self.c0
-        return 2 * self.c0 + self.ctx.t * self.c1
+            return Fraction(self.e0, self.q)
+        return Fraction(2 * self.e0 + self.ctx.t * self.e1, self.q)
 
     # -- predicates
 
     @property
     def is_zero(self) -> bool:
-        return not self.c0 and not self.c1
+        return not self.e0 and not self.e1
 
     @property
     def is_integral(self) -> bool:
-        return self.c0.denominator == 1 and self.c1.denominator == 1
+        return self.q == 1
 
     @property
     def is_unit(self) -> bool:
-        return self.is_integral and self.norm() == 1
+        if self.q != 1:
+            return False
+        ctx, e0, e1 = self.ctx, self.e0, self.e1
+        return (e0 * e0 + ctx.t * e0 * e1 + ctx.n * e1 * e1 == 1
+                if e1 else e0 in (1, -1))
 
     def __repr__(self):
         return f"<{format_element(self)} ({self.ctx.tag})>"
@@ -369,15 +430,16 @@ def format_element(x: FieldElem) -> str:
     def rat(q: Fraction) -> str:
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
-    if x.c1 == 0:
-        return rat(x.c0)
-    wpart = "w" if abs(x.c1) == 1 else f"{rat(abs(x.c1))}*w"
-    if x.c1 < 0:
+    c0, c1 = x.c0, x.c1
+    if c1 == 0:
+        return rat(c0)
+    wpart = "w" if abs(c1) == 1 else f"{rat(abs(c1))}*w"
+    if c1 < 0:
         wpart = "-" + wpart
-    if x.c0 == 0:
+    if c0 == 0:
         return wpart
-    sep = " - " if x.c1 < 0 else " + "
-    return rat(x.c0) + sep + wpart.lstrip("-")
+    sep = " - " if c1 < 0 else " + "
+    return rat(c0) + sep + wpart.lstrip("-")
 
 
 def parse_element(text: str, ctx: FieldCtx) -> FieldElem:
@@ -413,7 +475,7 @@ def parse_element(text: str, ctx: FieldCtx) -> FieldElem:
             c0 += sign * Fraction(term)
     if ctx.is_rational and c1:
         raise ValueError(f"{text!r} has an omega part but the field is Q")
-    return FieldElem(ctx, c0, c1)
+    return ctx.elem(c0, c1)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +483,15 @@ def parse_element(text: str, ctx: FieldCtx) -> FieldElem:
 
 
 def _assoc_key(x: FieldElem):
-    if x.c0 > 0:
+    # associates share q, so their numerators order them by value
+    e0, e1 = x.e0, x.e1
+    if e0 > 0:
         rank = 0
-    elif x.c0 == 0 and x.c1 > 0:
+    elif e0 == 0 and e1 > 0:
         rank = 1
     else:
         rank = 2
-    return (rank, x.c0, abs(x.c1), x.c1)
+    return (rank, e0, abs(e1), e1)
 
 
 @lru_cache(maxsize=None)
@@ -490,10 +554,9 @@ def reduce_mod(x: FieldElem, a: FieldElem) -> FieldElem:
     """
     if a.is_zero:
         raise ZeroDivisionError("reduction modulo the zero ideal")
-    q = x / a
-    frac0 = q.c0 - (q.c0.numerator // q.c0.denominator)
-    frac1 = q.c1 - (q.c1.numerator // q.c1.denominator)
-    return a * FieldElem(a.ctx, frac0, frac1)
+    y = x / a
+    q = y.q
+    return a * FieldElem(a.ctx, y.e0 % q, y.e1 % q, q)
 
 
 @lru_cache(maxsize=None)
@@ -510,9 +573,9 @@ def residues(a: FieldElem) -> tuple[FieldElem, ...]:
     if ctx.is_rational:
         m = int(a.norm())
         return tuple(ctx.elem(k) for k in range(m))
-    cols = [(int(g.c0), int(g.c1)) for g in (a, a * ctx.omega)]
+    cols = [(g.e0, g.e1) for g in (a, a * ctx.omega)]
     h_a, _, h_c = _hnf_pair(cols)
-    return tuple(reduce_mod(FieldElem(ctx, Fraction(i), Fraction(j)), a)
+    return tuple(reduce_mod(ctx.elem(i, j), a)
                  for i in range(h_a) for j in range(h_c))
 
 
@@ -523,16 +586,13 @@ def frac_ideal_parts(x: FieldElem) -> tuple[FieldElem, FieldElem]:
         raise ValueError("zero has no fractional ideal decomposition")
     ctx = x.ctx
     if ctx.is_rational:
-        return ctx.elem(x.c0.numerator if x.c0 > 0 else -x.c0.numerator), \
-            ctx.elem(x.c0.denominator)
-    d0 = x.c0.denominator
-    d1 = x.c1.denominator
-    q = ctx.elem(d0 * d1 // _int_gcd(d0, d1))
-    # q*x is integral; now remove the common factor
-    g = gcd_gen(q * x, q)
-    num = canonical_generator((q * x) / g)
-    den = canonical_generator(q / g)
-    return num, den
+        return ctx.elem(abs(x.e0)), ctx.elem(x.q)
+    # q is the common denominator, so q*x is integral; remove the common
+    # factor of q*x and q
+    qx = ctx.elem(x.e0, x.e1)
+    q = ctx.elem(x.q)
+    g = gcd_gen(qx, q)
+    return canonical_generator(qx / g), canonical_generator(q / g)
 
 
 # ---------------------------------------------------------------------------
@@ -575,43 +635,38 @@ def _hnf_pair(cols: list[tuple[int, int]]) -> tuple[int, int, int]:
 
 def lattice_index(gens: list[FieldElem]) -> int:
     """Index [O : L] of the lattice L spanned over Z by integral gens."""
-    cols = [(int(g.c0), int(g.c1)) for g in gens]
+    cols = [(g.e0, g.e1) for g in gens]
     a, _, c = _hnf_pair(cols)
     return a * c
 
 
 def _norm_form_solutions(v1: FieldElem, v2: FieldElem, m: int) -> list[FieldElem]:
-    """All x*v1 + y*v2 (x, y integers) with absolute norm m > 0."""
-    av = v1.field_norm()
-    bv = (v1 * v2.conj()).trace()
-    cv = v2.field_norm()
-    # positive definite: A x^2 + B xy + C y^2 = m
-    A, B, C = Fraction(av), Fraction(bv), Fraction(cv)
+    """All x*v1 + y*v2 (x, y integers) with absolute norm m > 0, for
+    integral v1, v2 spanning a lattice of rank two."""
+    # positive definite: A x^2 + B xy + C y^2 = m, with integer coefficients
+    A = int(v1.field_norm())
+    B = int((v1 * v2.conj()).trace())
+    C = int(v2.field_norm())
     disc = 4 * A * C - B * B
     if disc <= 0:
         raise ValueError("norm form is not definite")
     out = []
-    ymax = isqrt(int(4 * A * m / disc)) + 1
+    ymax = isqrt(4 * A * m // disc) + 1
     for y in range(-ymax, ymax + 1):
-        # solve A x^2 + (B y) x + (C y^2 - m) = 0
+        # solve A x^2 + (B y) x + (C y^2 - m) = 0 over the integers
         dd = B * B * y * y - 4 * A * (C * y * y - m)
         if dd < 0:
             continue
-        num = int(dd.numerator)
-        den = int(dd.denominator)
-        # dd = num/den must be the square of a rational with denominator den
-        root2 = num * den
-        r = isqrt(root2)
-        if r * r != root2:
+        r = isqrt(dd)
+        if r * r != dd:
             continue
-        sq = Fraction(r, den)
         for sgn in (1, -1):
-            x = (-B * y + sgn * sq) / (2 * A)
-            if x.denominator == 1:
-                cand = x.numerator * v1 + y * v2
+            x, rem = divmod(-B * y + sgn * r, 2 * A)
+            if not rem:
+                cand = x * v1 + y * v2
                 if cand.norm() == m:
                     out.append(cand)
-            if sq == 0:
+            if r == 0:
                 break
     return out
 
@@ -644,13 +699,13 @@ def gcd_gen(a: FieldElem, b: FieldElem) -> FieldElem:
         return canonical_generator(a)
     ctx = a.ctx
     if ctx.is_rational:
-        return ctx.elem(_int_gcd(int(a.c0), int(b.c0)))
+        return ctx.elem(_int_gcd(a.e0, b.e0))
     gens = [a, a * ctx.omega, b, b * ctx.omega]
-    cols = [(int(g.c0), int(g.c1)) for g in gens]
+    cols = [(g.e0, g.e1) for g in gens]
     h_a, h_b, h_c = _hnf_pair(cols)
     index = h_a * h_c
     v1 = ctx.elem(h_a)
-    v2 = FieldElem(ctx, Fraction(h_b), Fraction(h_c))
+    v2 = ctx.elem(h_b, h_c)
     sols = _norm_form_solutions(v1, v2, index)
     if not sols:
         raise ArithmeticError(

@@ -18,18 +18,22 @@ The right coset P_O(y, x) equals (y + xO, xO*), so a coset is keyed by
 the canonical generator of the fractional ideal xO together with y
 reduced modulo the lattice xO.  Keys are interned to integers and the
 group products of coset representatives are memoized, which keeps the
-full pairwise verification sweep in the minutes range.
+full pairwise verification sweep in the minutes range.  The arithmetic
+is the shared exact core of hecke.numberfield; what keeps the oracle
+independent of the rewrite engine is the coset model, not the field
+arithmetic.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _gcd, isqrt
+from math import isqrt
 
 from .errors import LevelOverflowError
 from .hecke_algebra import HeckeElement, Monomial, _mul_monomials
 from .numberfield import (FieldCtx, FieldElem, canonical_generator,
-                          frac_ideal_parts, gcd_gen, ideals_up_to, residues)
+                          frac_ideal_parts, gcd_gen, ideals_up_to,
+                          reduce_mod, residues)
 from .torsion import TorsionClass, stabilizer_index, torsion_class
 
 __all__ = [
@@ -73,11 +77,7 @@ class GroupElem:
         return self.y == other.y and self.x == other.x
 
     def __hash__(self):
-        y, x = self.y, self.x
-        return hash((y.c0.numerator, y.c0.denominator,
-                     y.c1.numerator, y.c1.denominator,
-                     x.c0.numerator, x.c0.denominator,
-                     x.c1.numerator, x.c1.denominator))
+        return hash((self.y, self.x))
 
     def __repr__(self):
         from .numberfield import format_element
@@ -100,89 +100,35 @@ def in_subgroup(g: GroupElem) -> bool:
 class _Universe:
     """Interning table for right-coset keys of one field.
 
-    The hot path (products of stored representatives) runs entirely on
-    integer coordinates over the basis (1, omega), writing an element as
-    (e0 + e1*omega)/q; omega^2 = t*omega - n, and t = n = 0 on Q.
+    A coset is keyed by the canonical generator xc of xO and by y
+    reduced modulo the lattice xc*O, both on the shared exact core;
+    products of stored representatives are memoized by id pair.
     """
 
-    __slots__ = ("ctx", "t", "n", "ids", "reps", "levels",
-                 "ycoords", "xrec", "xrecs", "prod", "phi", "std")
+    __slots__ = ("ctx", "ids", "reps", "levels", "prod", "phi", "std")
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
-        self.t = 0 if ctx.is_rational else ctx.t
-        self.n = 0 if ctx.is_rational else ctx.n
         self.ids: dict = {}
         self.reps: list[GroupElem] = []
         self.levels: list[int] = []
-        self.ycoords: list[tuple] = []
-        self.xrec: list[tuple] = []
-        self.xrecs: dict = {}
         self.prod: dict = {}
         self.phi: dict = {}
         self.std: dict = {}
 
-    def _x_record(self, a: int, b: int, q: int) -> tuple:
-        """Canonicalization record for the x-part (a + b*omega)/q: the
-        canonical generator of its fractional ideal as an integer triple,
-        the inverse of that generator as another, its key level, and the
-        generator itself as a field element."""
-        rec = self.xrecs.get((a, b, q))
-        if rec is None:
-            ctx = self.ctx
-            xc = _x_canonical(FieldElem(ctx, Fraction(a, q), Fraction(b, q)))
-            d0, d1 = xc.c0.denominator, xc.c1.denominator
-            cq = d0 * d1 // _gcd(d0, d1)
-            iv = 1 / xc
-            e0, e1 = iv.c0.denominator, iv.c1.denominator
-            idd = e0 * e1 // _gcd(e0, e1)
-            num, den = frac_ideal_parts(xc)
-            levx = max(int(num.norm()), int(den.norm()))
-            rec = (int(xc.c0 * cq), int(xc.c1 * cq), cq,
-                   int(iv.c0 * idd), int(iv.c1 * idd), idd, levx, xc)
-            self.xrecs[(a, b, q)] = rec
-            self.xrecs.setdefault(rec[:3], rec)
-        return rec
-
-    def _core(self, y0: int, y1: int, yd: int, rec: tuple) -> int:
-        """Intern the coset of ((y0 + y1*omega)/yd, x) for the x-part
-        described by rec; reduces y modulo the lattice x*O."""
-        t, n = self.t, self.n
-        ca, cb, cq, i0, i1, idd, levx, xc = rec
-        w0 = y0 * i0 - n * y1 * i1
-        w1 = y0 * i1 + y1 * i0 + t * y1 * i1
-        wd = yd * idd
-        m0 = w0 % wd
-        m1 = w1 % wd
-        r0 = m0 * ca - n * m1 * cb
-        r1 = m0 * cb + m1 * ca + t * m1 * cb
-        rd = wd * cq
-        g = _gcd(_gcd(r0, r1), rd)
-        if g > 1:
-            r0 //= g
-            r1 //= g
-            rd //= g
-        tag = (ca, cb, cq, r0, r1, rd)
+    def key_id(self, y: FieldElem, x: FieldElem) -> int:
+        xc = _x_canonical(x)
+        yr = reduce_mod(y, xc)
+        tag = (xc.e0, xc.e1, xc.q, yr.e0, yr.e1, yr.q)
         got = self.ids.get(tag)
         if got is not None:
             return got
-        idx = len(self.reps)
-        self.ids[tag] = idx
-        yr = FieldElem(self.ctx, Fraction(r0, rd), Fraction(r1, rd))
+        idx = self.ids[tag] = len(self.reps)
         self.reps.append(GroupElem(yr, xc))
-        self.ycoords.append((r0, r1, rd))
-        self.xrec.append(rec)
-        ylev = 1 if rd == 1 else int(frac_ideal_parts(yr)[1].norm())
-        self.levels.append(max(levx, ylev))
+        num, den = frac_ideal_parts(xc)
+        ylev = 1 if yr.is_integral else int(frac_ideal_parts(yr)[1].norm())
+        self.levels.append(max(int(num.norm()), int(den.norm()), ylev))
         return idx
-
-    def key_id(self, y: FieldElem, x: FieldElem) -> int:
-        d0, d1 = x.c0.denominator, x.c1.denominator
-        q = d0 * d1 // _gcd(d0, d1)
-        rec = self._x_record(int(x.c0 * q), int(x.c1 * q), q)
-        e0, e1 = y.c0.denominator, y.c1.denominator
-        yd = e0 * e1 // _gcd(e0, e1)
-        return self._core(int(y.c0 * yd), int(y.c1 * yd), yd, rec)
 
     def elem_id(self, g: GroupElem) -> int:
         return self.key_id(g.y, g.x)
@@ -190,23 +136,9 @@ class _Universe:
     def prod_id(self, i: int, j: int) -> int:
         key = (i << 22) | j
         got = self.prod.get(key)
-        if got is not None:
-            return got
-        t, n = self.t, self.n
-        y0i, y1i, ydi = self.ycoords[i]
-        y0j, y1j, ydj = self.ycoords[j]
-        cai, cbi, cqi = self.xrec[i][:3]
-        caj, cbj, cqj = self.xrec[j][:3]
-        # (y_i, x_i)(y_j, x_j) = (y_j + y_i x_j, x_i x_j)
-        p0 = y0i * caj - n * y1i * cbj
-        p1 = y0i * cbj + y1i * caj + t * y1i * cbj
-        dd = ydi * cqj
-        rec = self._x_record(cai * caj - n * cbi * cbj,
-                             cai * cbj + cbi * caj + t * cbi * cbj,
-                             cqi * cqj)
-        got = self._core(y0j * dd + p0 * ydj, y1j * dd + p1 * ydj,
-                         ydj * dd, rec)
-        self.prod[key] = got
+        if got is None:
+            g = self.reps[i] * self.reps[j]
+            got = self.prod[key] = self.key_id(g.y, g.x)
         return got
 
 

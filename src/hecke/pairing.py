@@ -83,8 +83,7 @@ class CharacterPoint:
                 and self.w == other.w)
 
     def __hash__(self):
-        return hash((self.ctx.d, self.c.c0, self.c.c1,
-                     self.w.c0, self.w.c1))
+        return hash((self.c, self.w))
 
     def __repr__(self):
         return (f"chi(level={format_element(self.c)}, "

@@ -132,7 +132,7 @@ class SymmetryElem:
                 and self.rep == other.rep)
 
     def __hash__(self):
-        return hash((self.ctx.d, _elem_key(self.c), _elem_key(self.rep)))
+        return hash((self.c, self.rep))
 
     def __repr__(self):
         return f"SymmetryElem(c={self.c!r}, j={self.j!r})"
@@ -170,7 +170,7 @@ def _min_lift_norm(g: SymmetryElem, m: int) -> int:
     once no farther ring can beat the best candidate found."""
     ctx = g.ctx
     if ctx.is_rational:
-        base, step = int(g.j.c0), int(g.c.c0)
+        base, step = g.j.e0, g.c.e0
         for k in range(3 * m + 6):
             t = base + step * k
             if gcd(t, m) == 1:
@@ -184,7 +184,7 @@ def _min_lift_norm(g: SymmetryElem, m: int) -> int:
     rr = 0
     while rr <= 3 * m + 6:
         for x, y in _ring(rr):
-            t = g.j + g.c * (ctx.elem(x) + ctx.omega * ctx.elem(y))
+            t = g.j + g.c * ctx.elem(x, y)
             nt = int(t.norm())
             if gcd(nt, m) == 1:
                 cand = (nt, x, y)

@@ -6,9 +6,6 @@ integral multipliers only (non-integral ones do not act on K/O).
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import floor
-
 from .numberfield import (FieldCtx, FieldElem, canonical_generator,
                           frac_ideal_parts, residues)
 
@@ -21,9 +18,8 @@ __all__ = [
 
 def reduce01(x: FieldElem) -> FieldElem:
     """The representative of x + O with both coordinates in [0, 1)."""
-    c0 = x.c0 - floor(x.c0)
-    c1 = x.c1 - floor(x.c1)
-    return FieldElem(x.ctx, c0, c1)
+    q = x.q
+    return FieldElem(x.ctx, x.e0 % q, x.e1 % q, q)
 
 
 class TorsionClass:
@@ -38,17 +34,16 @@ class TorsionClass:
     def __eq__(self, other):
         if not isinstance(other, TorsionClass):
             return NotImplemented
-        return self.ctx == other.ctx and self.rep == other.rep
+        return self.rep == other.rep
 
     def __hash__(self):
-        c0, c1 = self.rep.c0, self.rep.c1
-        return hash((self.ctx.d, c0.numerator, c0.denominator,
-                     c1.numerator, c1.denominator))
+        return hash(self.rep)
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
 
     def sort_key(self):
+        """The coordinates of the representative, compared by value."""
         return (self.rep.c0, self.rep.c1)
 
     def __add__(self, other: "TorsionClass") -> "TorsionClass":

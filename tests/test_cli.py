@@ -6,6 +6,7 @@ the JSON is reparsed and compared against its float rendering.
 """
 import json
 import math
+import sys
 from fractions import Fraction
 
 from click.testing import CliRunner
@@ -176,8 +177,8 @@ def test_nonzero_exit_on_unsound_regularity_never_triggers_here():
 
 
 def test_exit_codes_without_traceback():
-    # exit 2 for malformed input, 1 for a domain failure, never an
-    # uncaught exception
+    # exit 2 for malformed input, 1 for a domain failure, 0 for a large
+    # but finite value, never an uncaught exception
     cases = [
         (["kms", "--beta", "-3", "--r", "(1)/(2)"], 1),
         (["kms", "--beta", "0", "--r", "(1)/(2)"], 1),
@@ -187,6 +188,9 @@ def test_exit_codes_without_traceback():
         (["mul", "--field", "Q", "mu(0)", "id"], 1),
         (["zeta", "--beta", "1.0000001"], 1),
         (["zeta", "--tol", "0"], 1),
+        (["kms", "--beta", "20000", "--r", "(1)/(2)"], 1),
+        (["kms", "--beta", "2000.5", "--r", "(1)/(2)"], 0),
+        (["kms", "--field", "d1", "--beta", "2000.5", "--r", "(1)/(2)"], 0),
     ]
     runner = CliRunner()
     for args, code in cases:
@@ -194,3 +198,6 @@ def test_exit_codes_without_traceback():
         assert res.exit_code == code, (args, res.output)
         assert res.exception is None or isinstance(res.exception,
                                                    SystemExit), args
+    # an exact value too long to print names the limit it exceeds
+    res = runner.invoke(main, ["kms", "--beta", "20000", "--r", "(1)/(2)"])
+    assert str(sys.get_int_max_str_digits()) in res.output

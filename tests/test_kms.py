@@ -100,6 +100,12 @@ def test_symmetric_state_frozen_values():
     assert phi_symmetric(half_q, 1) == 0
     # float branch agrees with the exact one
     assert phi_symmetric(half_q, 2.0) == pytest.approx(-0.5)
+    # large beta: 2^(1-beta) - 1 without overflow, and an exact value
+    # only while it can be printed
+    assert phi_symmetric(half_q, 2000.5) == pytest.approx(-1.0)
+    assert phi_symmetric(half_q, 400) == Fraction(1 - 2 ** 399, 2 ** 399)
+    with pytest.raises(ValueError, match="digits"):
+        phi_symmetric(half_q, 20000)
     for bad in (0, -3, -0.5, math.inf, math.nan):
         with pytest.raises(ValueError):
             phi_symmetric(half_q, bad)

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, sqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hecke.errors import UnsupportedFieldError
 from hecke.numberfield import (
@@ -19,6 +20,7 @@ from hecke.numberfield import (
     frac_ideal_parts, gcd_gen, ideals_up_to, is_coprime, kronecker_symbol,
     lattice_index, make_ctx, parse_element, prime_elements_above, reduce_mod,
     residues, splitting_type)
+from hecke.torsion import reduce01
 
 
 def brute_units(ctx):
@@ -103,6 +105,81 @@ def test_conj_and_trace():
     assert x * x.conj() == x.field_norm()
     assert x + x.conj() == x.trace()
     assert x.conj().conj() == x
+
+
+def _embed(ctx, e0, e1, q):
+    """(e0 + e1*omega)/q in C, with omega = i*sqrt(d) or (1 + i*sqrt(d))/2."""
+    if ctx.is_rational:
+        omega = 0
+    elif ctx.t == 0:
+        omega = 1j * sqrt(ctx.d)
+    else:
+        omega = (1 + 1j * sqrt(ctx.d)) / 2
+    return (e0 + e1 * omega) / q
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+_triple = st.tuples(st.integers(-60, 60), st.integers(-60, 60),
+                    st.integers(-36, 36).filter(bool))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.sampled_from(SUPPORTED_D), _triple, _triple, _triple)
+def test_core_against_complex_embedding(d, tx, ty, ta):
+    # the integer-triple core against plain int/complex arithmetic, on
+    # random triples that the constructor has to bring to lowest terms
+    ctx = make_ctx(d)
+
+    def build(t):
+        e0, e1, q = t
+        if ctx.is_rational:
+            e1 = 0
+        x = FieldElem(ctx, e0, e1, q)
+        assert _close(_embed(ctx, x.e0, x.e1, x.q), _embed(ctx, e0, e1, q))
+        return x
+
+    def canonical(x):
+        assert x.q >= 1 and int_gcd(x.e0, x.e1, x.q) == 1
+        assert not (ctx.is_rational and x.e1)
+        if not x.e1:
+            assert x == x.c0 and hash(x) == hash(x.c0)
+        return x
+
+    def value(x):
+        return _embed(ctx, x.e0, x.e1, x.q)
+
+    x, y = canonical(build(tx)), canonical(build(ty))
+    a = canonical(ctx.elem(ta[0], 0 if ctx.is_rational else ta[1]))
+    assert _close(value(canonical(x + y)), value(x) + value(y))
+    assert _close(value(canonical(x - y)), value(x) - value(y))
+    assert _close(value(canonical(x * y)), value(x) * value(y))
+    assert _close(value(canonical(-x)), -value(x))
+    if not ctx.is_rational:
+        assert _close(float(x.field_norm()), abs(value(x)) ** 2)
+        assert _close(float(x.trace()), 2 * value(x).real)
+    # exact identities
+    assert (x * y).field_norm() == x.field_norm() * y.field_norm()
+    assert canonical(x.conj()).conj() == x
+    if not ctx.is_rational:
+        assert canonical(x * x.conj()) == x.field_norm()
+        assert canonical(x + x.conj()) == x.trace()
+    if not y.is_zero:
+        q = canonical(x / y)
+        assert _close(value(q), value(x) / value(y))
+        assert canonical(q * y) == x
+    # K/O representatives and reduction modulo aO
+    r = canonical(reduce01(x))
+    assert 0 <= r.c0 < 1 and 0 <= r.c1 < 1
+    assert (x - r).is_integral
+    if not a.is_zero:
+        m = canonical(reduce_mod(x, a))
+        assert divide_exact(x - m, a) is not None
+        f = m / a
+        assert 0 <= f.c0 < 1 and 0 <= f.c1 < 1
+        assert reduce_mod(m, a) == m
 
 
 def congruent(x, y, a):
@@ -312,6 +389,14 @@ def test_element_text_roundtrip():
         assert parse_element(format_element(e), ctx) == e
     q = make_ctx(0)
     assert parse_element("-5/3", q) == Fraction(-5, 3)
+    # elements equal to numbers hash like them, so dict lookups agree
+    for d in (0, 1):
+        c = make_ctx(d)
+        table = {c.elem(3): "three", c.elem(Fraction(1, 2)): "half"}
+        assert table.get(3) == "three"
+        assert table.get(Fraction(1, 2)) == "half"
+        assert {3: "three", Fraction(1, 2): "half"}[c.elem(Fraction(1, 2))] \
+            == "half"
     with pytest.raises(ValueError):
         parse_element("1 + w", q)
     with pytest.raises(ValueError):
