@@ -81,9 +81,11 @@ def phi_symmetric(r: TorsionClass, beta: Number):
         isinstance(beta, Fraction) and beta.denominator == 1)
     if exact:
         k = int(beta)
-        # 0 means no limit, as on Pythons without the limit
-        limit = getattr(sys, "get_int_max_str_digits", int)()
-        if limit and k * log10(b.norm()) > limit:
+        # k stays an int in the comparison: k * log10(N_b) would overflow a
+        # float once k passes about 1e308; a limit of 0 means no limit
+        limit = sys.get_int_max_str_digits()
+        nb = b.norm()
+        if limit and nb > 1 and k > limit / log10(nb):
             raise ValueError(
                 f"the exact value at beta={k} has more than {limit} digits, "
                 "the limit of sys.get_int_max_str_digits(); pass beta as a "

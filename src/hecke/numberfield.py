@@ -15,7 +15,6 @@ terminate.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +27,6 @@ from .errors import UnsupportedFieldError
 SUPPORTED_D = (0, 1, 2, 3, 7, 11, 19, 43, 67, 163)
 
 _TRIAL_BOUND = 10 ** 6
-_HASH_P = sys.hash_info.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +274,8 @@ class FieldElem:
     # -- basic ring structure
 
     def _coerce(self, other) -> "FieldElem | None":
-        # the ring operations skip this call for an element of the same
-        # context object, their common and hot case
+        if type(other) is FieldElem and other.ctx is self.ctx:
+            return other
         if isinstance(other, FieldElem):
             if other.ctx.d != self.ctx.d:
                 raise ValueError("elements from different fields")
@@ -287,8 +285,7 @@ class FieldElem:
         return None
 
     def __add__(self, other):
-        o = other if type(other) is FieldElem and other.ctx is self.ctx \
-            else self._coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         p, q = self.q, o.q
@@ -298,8 +295,7 @@ class FieldElem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if type(other) is FieldElem and other.ctx is self.ctx \
-            else self._coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         p, q = self.q, o.q
@@ -316,8 +312,7 @@ class FieldElem:
         return FieldElem(self.ctx, -self.e0, -self.e1, self.q)
 
     def __mul__(self, other):
-        o = other if type(other) is FieldElem and other.ctx is self.ctx \
-            else self._coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         ctx = self.ctx
@@ -329,8 +324,7 @@ class FieldElem:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = other if type(other) is FieldElem and other.ctx is self.ctx \
-            else self._coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_zero:
@@ -367,14 +361,7 @@ class FieldElem:
         if e1:
             return hash((e0, e1, q))
         # a rational element hashes like the number it equals
-        if q == 1:
-            return hash(e0)
-        if not q % _HASH_P:
-            return hash(Fraction(e0, q))
-        # hash(Fraction(e0, q)) by the rule the Python reference gives for
-        # rationals ("Hashing of numeric types"), without building one
-        h = hash(hash(abs(e0)) * pow(q, -1, _HASH_P))
-        return h if e0 >= 0 else hash(-h)
+        return hash(e0) if q == 1 else hash(Fraction(e0, q))
 
     # -- field-theoretic maps
 

@@ -191,6 +191,9 @@ def test_exit_codes_without_traceback():
         (["kms", "--beta", "20000", "--r", "(1)/(2)"], 1),
         (["kms", "--beta", "2000.5", "--r", "(1)/(2)"], 0),
         (["kms", "--field", "d1", "--beta", "2000.5", "--r", "(1)/(2)"], 0),
+        # a 400-digit integer beta, past the range of a float
+        (["kms", "--beta", "1" + "0" * 399, "--r", "(1)/(2)"], 1),
+        (["kms", "--beta", "1" + "0" * 399, "--r", "0"], 0),
     ]
     runner = CliRunner()
     for args, code in cases:
