@@ -17,7 +17,10 @@ series evaluated here by bucketing ideals by their residue modulo the
 level, so the series cost is shared across all characters of a level.
 
 The partition function of the system is the Dedekind zeta function,
-computed as an Euler product with a certified truncation bound.
+computed as an Euler product with a certified truncation bound.  The
+primes come from one table per process: it is sieved up to the largest
+cutoff requested so far, at most _PRIME_BOUND_MAX, and sliced for every
+smaller cutoff, so a sweep over fields and beta pays for one sieve.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, inf, log, log10, pi
+from math import exp, inf, isqrt, log, log10, pi
 from typing import Union
 
 import numpy as np
@@ -196,13 +199,48 @@ def _series_tail(ctx: FieldCtx, bound: int, beta: float) -> float:
 # Dedekind zeta as an Euler product
 
 
+# the largest prime cutoff zeta_k picks on its own, and the largest prime
+# table kept between calls (int64, about 15 MB at this cutoff)
+_PRIME_BOUND_MAX = 30_000_000
+
+
+def _sieve(limit: int) -> np.ndarray:
+    """The primes up to limit as a read-only int64 array, by a sieve of
+    Eratosthenes over the odd numbers alone: index i stands for 2i + 1."""
+    primes = np.array([], dtype=np.int64)
+    if limit >= 2:
+        odd = np.ones((limit + 1) // 2, dtype=bool)
+        odd[0] = False
+        for i in range(1, (isqrt(limit) - 1) // 2 + 1):
+            if odd[i]:
+                p = 2 * i + 1
+                odd[p * p // 2::p] = False
+        primes = np.concatenate(([2], 2 * np.flatnonzero(odd) + 1))
+    primes.flags.writeable = False
+    return primes
+
+
+# (cutoff, the primes up to it): one pair, replaced by a single assignment,
+# so that a reader never sees a table shorter than its cutoff
+_prime_table = (1, _sieve(1))
+
+
 def _primes_up_to(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(limit ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    return np.nonzero(sieve)[0]
+    """The primes up to limit as a read-only int64 array.
+
+    The table is sieved once per process and sliced for every later
+    cutoff at or below the largest one met so far; a larger cutoff
+    rebuilds it, at least doubling it, up to _PRIME_BOUND_MAX.  A cutoff
+    above that is sieved for the one call and not kept."""
+    global _prime_table
+    if limit > _PRIME_BOUND_MAX:
+        return _sieve(limit)
+    covered, primes = _prime_table
+    if limit > covered:
+        covered = min(max(limit, 2 * covered), _PRIME_BOUND_MAX)
+        primes = _sieve(covered)
+        _prime_table = covered, primes
+    return primes[:np.searchsorted(primes, limit, side="right")]
 
 
 @lru_cache(maxsize=None)
@@ -211,7 +249,8 @@ def zeta_k(ctx: FieldCtx, beta: Number, tol: float = 1e-7,
     """The Dedekind zeta value at beta > 1 with a certified error bound.
 
     Euler product over rational primes up to a cutoff chosen from the
-    tolerance; the reported bound covers the truncated tail (via
+    tolerance, at most _PRIME_BOUND_MAX, or passed as prime_bound >= 2;
+    the reported bound covers the truncated tail (via
     |log local factor| <= C * p^(-beta)) plus float accumulation.
     """
     bf = float(beta)
@@ -230,18 +269,22 @@ def zeta_k(ctx: FieldCtx, beta: Number, tol: float = 1e-7,
         except OverflowError:
             raise ValueError(f"beta={bf} is too close to 1 for the Euler "
                              "product") from None
-        prime_bound = min(max(prime_bound, 100), 30_000_000)
+        prime_bound = min(max(prime_bound, 100), _PRIME_BOUND_MAX)
+    elif prime_bound < 2:
+        raise ValueError(f"prime_bound must be at least 2, not {prime_bound}")
     primes = _primes_up_to(prime_bound)
     pw = primes.astype(np.float64) ** (-bf)
-    if ctx.is_rational:
-        log_val = -np.sum(np.log1p(-pw))
-    else:
+    # log1p overwrites its own input, a copy of -pw that is freed before
+    # chi is built: fewer table-length arrays alive at the peak
+    terms = -pw
+    log_val = -np.sum(np.log1p(terms, out=terms))  # the rational zeta factor
+    del terms
+    if not ctx.is_rational:
         disc = ctx.discriminant
         period = abs(disc)
         table = np.array([kronecker_symbol(disc, k) for k in range(period)],
-                         dtype=np.int64)
+                         dtype=np.int8)
         chi = table[primes % period]
-        log_val = -np.sum(np.log1p(-pw))  # the rational zeta factor
         # L-factor: split gets another (1-x)^-1, inert (1+x)^-1, ramified 1
         log_val += -np.sum(np.log1p(-pw[chi == 1]))
         log_val += -np.sum(np.log1p(pw[chi == -1]))

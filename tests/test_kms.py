@@ -13,11 +13,16 @@ Oracles used here, none of which call the closed forms under test:
 """
 import cmath
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hecke.kms as kms
 from hecke.cyclotomic import CycloNum, root_of_unity
 from hecke.hecke_algebra import (HeckeElement, Monomial, adjoint, alpha,
                                  identity, mu, mul_hecke, theta)
@@ -247,6 +252,71 @@ def test_zeta_monotone_in_beta_and_errors():
     for tol in (0.0, -1e-7):
         with pytest.raises(ValueError):
             zeta_k(Q, 2, tol=tol)
+    for prime_bound in (0, 1):  # no prime at all: an empty Euler product
+        with pytest.raises(ValueError):
+            zeta_k(GAUSS, 2.0, prime_bound=prime_bound)
+
+
+def _empty_prime_table(monkeypatch):
+    # a fresh table for this test; monkeypatch puts the shared one back
+    monkeypatch.setattr(kms, "_prime_table", (1, kms._sieve(1)))
+
+
+def test_prime_table_slices_match_trial_division(monkeypatch):
+    def by_trial_division(n):
+        return [p for p in range(2, n + 1)
+                if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+    increasing = list(range(201))
+    shuffled = increasing[:]
+    random.Random(4).shuffle(shuffled)
+    for order in (increasing, increasing[::-1], shuffled):
+        _empty_prime_table(monkeypatch)
+        largest = 0
+        for n in order:
+            got = kms._primes_up_to(n)
+            assert got.dtype == np.int64
+            assert got.tolist() == by_trial_division(n), n
+            assert not got.flags.writeable
+            largest = max(largest, n)
+            assert largest <= kms._prime_table[0] <= max(2 * largest, 2)
+
+
+def test_prime_table_never_kept_above_cap(monkeypatch):
+    _empty_prime_table(monkeypatch)
+    monkeypatch.setattr(kms, "_PRIME_BOUND_MAX", 50)
+    assert kms._primes_up_to(40).tolist()[-1] == 37
+    assert kms._prime_table[0] == 40
+    assert kms._primes_up_to(41).tolist()[-1] == 41
+    assert kms._prime_table[0] == 50  # grown by doubling, clipped at the cap
+    assert kms._primes_up_to(100).tolist()[-3:] == [83, 89, 97]
+    assert kms._prime_table[0] == 50 and kms._prime_table[1][-1] == 47
+    # an explicit cutoff above the cap sieves for that call only
+    assert not kms._primes_up_to(100).flags.writeable
+    zeta_k(Q, 2.0, prime_bound=113)
+    assert kms._prime_table[0] == 50
+
+
+def test_zeta_identical_cold_and_after_table_grown():
+    points = [(0, 3.0), (0, 2.5), (1, 3.0), (7, 2.0)]
+    code = (
+        "from hecke.kms import zeta_k\n"
+        "from hecke.numberfield import make_ctx\n"
+        f"for d, beta in {points!r}:\n"
+        "    v, e = zeta_k(make_ctx(d), beta, tol=3e-7)\n"
+        "    print(v.hex(), e.hex())\n")
+    src = os.path.dirname(os.path.dirname(kms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    zeta_k(GAUSS, 1.5, tol=2e-7)  # a cache miss that sieves up to the cap
+    assert kms._prime_table[0] == kms._PRIME_BOUND_MAX
+    warm = []
+    for d, beta in points:
+        v, e = zeta_k(make_ctx(d), beta, tol=3e-7)
+        warm.append(f"{v.hex()} {e.hex()}")
+    assert res.stdout.splitlines() == warm
 
 
 def test_partial_zeta_exact_and_float():
