@@ -230,15 +230,14 @@ def _primes_up_to(limit: int) -> np.ndarray:
 
     The table is sieved once per process and sliced for every later
     cutoff at or below the largest one met so far; a larger cutoff
-    rebuilds it, at least doubling it, up to _PRIME_BOUND_MAX.  A cutoff
-    above that is sieved for the one call and not kept."""
+    rebuilds it up to exactly that cutoff.  A cutoff above
+    _PRIME_BOUND_MAX is sieved for the one call and not kept."""
     global _prime_table
     if limit > _PRIME_BOUND_MAX:
         return _sieve(limit)
     covered, primes = _prime_table
     if limit > covered:
-        covered = min(max(limit, 2 * covered), _PRIME_BOUND_MAX)
-        primes = _sieve(covered)
+        covered, primes = limit, _sieve(limit)
         _prime_table = covered, primes
     return primes[:np.searchsorted(primes, limit, side="right")]
 

@@ -279,7 +279,7 @@ def test_prime_table_slices_match_trial_division(monkeypatch):
             assert got.tolist() == by_trial_division(n), n
             assert not got.flags.writeable
             largest = max(largest, n)
-            assert largest <= kms._prime_table[0] <= max(2 * largest, 2)
+            assert kms._prime_table[0] == max(largest, 1)  # sieved exactly
 
 
 def test_prime_table_never_kept_above_cap(monkeypatch):
@@ -288,33 +288,36 @@ def test_prime_table_never_kept_above_cap(monkeypatch):
     assert kms._primes_up_to(40).tolist()[-1] == 37
     assert kms._prime_table[0] == 40
     assert kms._primes_up_to(41).tolist()[-1] == 41
-    assert kms._prime_table[0] == 50  # grown by doubling, clipped at the cap
+    assert kms._prime_table[0] == 41
     assert kms._primes_up_to(100).tolist()[-3:] == [83, 89, 97]
-    assert kms._prime_table[0] == 50 and kms._prime_table[1][-1] == 47
+    assert kms._prime_table[0] == 41 and kms._prime_table[1][-1] == 41
     # an explicit cutoff above the cap sieves for that call only
     assert not kms._primes_up_to(100).flags.writeable
     zeta_k(Q, 2.0, prime_bound=113)
-    assert kms._prime_table[0] == 50
+    assert kms._prime_table[0] == 41
 
 
 def test_zeta_identical_cold_and_after_table_grown():
     points = [(0, 3.0), (0, 2.5), (1, 3.0), (7, 2.0)]
+    # cold: every point from a table sieved to exactly its own cutoff
     code = (
-        "from hecke.kms import zeta_k\n"
+        "import hecke.kms as kms\n"
         "from hecke.numberfield import make_ctx\n"
         f"for d, beta in {points!r}:\n"
-        "    v, e = zeta_k(make_ctx(d), beta, tol=3e-7)\n"
+        "    kms._prime_table = (1, kms._sieve(1))\n"
+        "    v, e = kms.zeta_k.__wrapped__(make_ctx(d), beta, tol=3e-7)\n"
         "    print(v.hex(), e.hex())\n")
     src = os.path.dirname(os.path.dirname(kms.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    zeta_k(GAUSS, 1.5, tol=2e-7)  # a cache miss that sieves up to the cap
+    # warm: past the lru_cache, from slices of a table grown to the cap
+    zeta_k.__wrapped__(GAUSS, 1.5, tol=2e-7)
     assert kms._prime_table[0] == kms._PRIME_BOUND_MAX
     warm = []
     for d, beta in points:
-        v, e = zeta_k(make_ctx(d), beta, tol=3e-7)
+        v, e = zeta_k.__wrapped__(make_ctx(d), beta, tol=3e-7)
         warm.append(f"{v.hex()} {e.hex()}")
     assert res.stdout.splitlines() == warm
 
