@@ -344,7 +344,14 @@ def verify_cmd(field_tag: str, level: int, config_path: str | None) -> None:
     params = _apply_config({"field_tag": field_tag, "level": level},
                            config_path)
     ctx = _field(params["field_tag"])
-    bound = int(params["level"])
+    try:
+        bound = int(params["level"])
+    except ValueError:
+        raise click.UsageError(f"--level {params['level']!r} is not an "
+                               "integer")
+    if bound < 1:
+        # no monomial has slot norm below 1: the sweep would check nothing
+        raise click.UsageError(f"--level must be at least 1, got {bound}")
     _level_guard(bound)
     report = verify_equivalence(ctx, bound)
     _emit({

@@ -21,14 +21,16 @@ Monomial labels are redundant: M(a, r, b) = M(c, s, d) exactly when
 a = c, b = d (as canonical generators with gcd(a, b) = 1) and r = w*s
 modulo (1/(ab))O for some unit w.  Canonicalization picks the minimal
 representative of that class, so equality of monomials is equality of
-stored triples.
+stored triples.  Canonical labels are memoized, keyed by the integer
+triples of the label, in a bounded cache.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .numberfield import (FieldCtx, FieldElem, canonical_generator,
-                          divide_exact, gcd_gen, residues)
+                          divide_exact, gcd_gen, make_ctx, residues)
 from .torsion import TorsionClass, orbit_canonical, reduce01, torsion_class
 
 __all__ = [
@@ -47,6 +49,34 @@ def _canon_div(x: FieldElem, g: FieldElem) -> FieldElem:
 def _rep_mod_level(t: TorsionClass, c: FieldElem) -> TorsionClass:
     """Canonical representative of t modulo the fractional lattice (1/c)O."""
     return torsion_class(reduce01(t.rep * c) / c)
+
+
+# The verification sweeps of Q and Q(i) at bound 8 meet about 34,000
+# distinct labels; the bound keeps a long-running process finite.
+_LABEL_MEMO = 1 << 16
+
+
+@lru_cache(maxsize=_LABEL_MEMO)
+def _canonical_label(d: int, a0: int, a1: int, b0: int, b1: int,
+                     r0: int, r1: int, rq: int) -> tuple:
+    """The canonical (a, r, b) of the monomial label with integral slots
+    a0 + a1*omega, b0 + b1*omega and r the class of (r0 + r1*omega)/rq."""
+    ctx = make_ctx(d)
+    a = canonical_generator(FieldElem(ctx, a0, a1, 1))
+    b = canonical_generator(FieldElem(ctx, b0, b1, 1))
+    r = torsion_class(FieldElem(ctx, r0, r1, rq))
+    g = gcd_gen(a, b)
+    if not g.is_unit:
+        a = _canon_div(a, g)
+        b = _canon_div(b, g)
+        r = r.scaled(g)
+    c = canonical_generator(a * b)
+    best = None
+    for u in ctx.units:
+        cand = _rep_mod_level(r.scaled(u), c)
+        if best is None or cand.sort_key() < best.sort_key():
+            best = cand
+    return a, best, b
 
 
 class Monomial:
@@ -79,20 +109,9 @@ class Monomial:
             r = torsion_class(r)
         if a.is_zero or b.is_zero or not (a.is_integral and b.is_integral):
             raise ValueError("monomial slots must be nonzero integral")
-        a = canonical_generator(a)
-        b = canonical_generator(b)
-        g = gcd_gen(a, b)
-        if not g.is_unit:
-            a = _canon_div(a, g)
-            b = _canon_div(b, g)
-            r = r.scaled(g)
-        c = canonical_generator(a * b)
-        best = None
-        for u in ctx.units:
-            cand = _rep_mod_level(r.scaled(u), c)
-            if best is None or cand.sort_key() < best.sort_key():
-                best = cand
-        return cls(ctx, a, best, b)
+        t = r.rep
+        return cls(ctx, *_canonical_label(ctx.d, a.e0, a.e1, b.e0, b.e1,
+                                          t.e0, t.e1, t.q))
 
     def __eq__(self, other):
         if not isinstance(other, Monomial):
@@ -103,7 +122,8 @@ class Monomial:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.a, self.b, self.r.rep))
+            a, b, t = self.a, self.b, self.r.rep
+            h = self._hash = hash((a.e0, a.e1, b.e0, b.e1, t.e0, t.e1, t.q))
         return h
 
     def sort_key(self):

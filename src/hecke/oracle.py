@@ -16,10 +16,13 @@ the tests verify by translation sampling.
 
 The right coset P_O(y, x) equals (y + xO, xO*), so a coset is keyed by
 the canonical generator of the fractional ideal xO together with y
-reduced modulo the lattice xO.  Keys are interned to integers and the
-group products of coset representatives are memoized, which keeps the
-full pairwise verification sweep in the minutes range.  The arithmetic
-is the shared exact core of hecke.numberfield; what keeps the oracle
+reduced modulo the lattice xO.  Keys are interned to integers.  A
+convolution groups each operand's support by scaling part, so the
+canonical generator of x1*x2*O and its inverse are found once per pair
+of scaling parts; each product coset is then keyed by integer
+arithmetic on the translation parts alone, and values are summed as
+integer numerators over one common denominator.  The arithmetic is the
+shared exact core of hecke.numberfield; what keeps the oracle
 independent of the rewrite engine is the coset model, not the field
 arithmetic.
 """
@@ -27,13 +30,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import LevelOverflowError
 from .hecke_algebra import HeckeElement, Monomial, _mul_monomials
 from .numberfield import (FieldCtx, FieldElem, canonical_generator,
                           frac_ideal_parts, gcd_gen, ideals_up_to,
-                          reduce_mod, residues)
+                          residues)
 from .torsion import TorsionClass, stabilizer_index, torsion_class
 
 __all__ = [
@@ -100,9 +103,14 @@ def in_subgroup(g: GroupElem) -> bool:
 class _Universe:
     """Interning table for right-coset keys of one field.
 
-    A coset is keyed by the canonical generator xc of xO and by y
-    reduced modulo the lattice xc*O, both on the shared exact core;
-    products of stored representatives are memoized by id pair.
+    The right coset P_O(y, x) is keyed by the canonical generator xc of
+    xO and by the class of y/xc modulo O, read off its reduced triple
+    (e0 % q, e1 % q, q); its stored representative is
+    (reduce_mod(y, xc), xc).  `ids` maps the triple of xc to the table
+    of its classes, and `prod` memoizes, per pair of scaling parts
+    (x1, x2), the canonical generator xc of x1*x2*O, 1/xc and the class
+    table of xc: all of the group law that is not integer arithmetic on
+    translation parts.
     """
 
     __slots__ = ("ctx", "ids", "reps", "levels", "prod", "phi", "std")
@@ -116,30 +124,54 @@ class _Universe:
         self.phi: dict = {}
         self.std: dict = {}
 
-    def key_id(self, y: FieldElem, x: FieldElem) -> int:
-        xc = _x_canonical(x)
-        yr = reduce_mod(y, xc)
-        tag = (xc.e0, xc.e1, xc.q, yr.e0, yr.e1, yr.q)
-        got = self.ids.get(tag)
-        if got is not None:
-            return got
-        idx = self.ids[tag] = len(self.reps)
+    def classes(self, xc: FieldElem) -> dict:
+        """The class table {reduced triple of y/xc mod O: id} of xc."""
+        tag = (xc.e0, xc.e1, xc.q)
+        tab = self.ids.get(tag)
+        if tab is None:
+            tab = self.ids[tag] = {}
+        return tab
+
+    def intern(self, xc: FieldElem, cls: tuple) -> int:
+        """Store the coset of class `cls` over xc, known to be new."""
+        yr = xc * FieldElem(self.ctx, *cls)
+        idx = len(self.reps)
         self.reps.append(GroupElem(yr, xc))
         num, den = frac_ideal_parts(xc)
         ylev = 1 if yr.is_integral else int(frac_ideal_parts(yr)[1].norm())
         self.levels.append(max(int(num.norm()), int(den.norm()), ylev))
         return idx
 
+    def _class_id(self, tab: dict, xc: FieldElem, z: FieldElem) -> int:
+        q = z.q
+        cls = (z.e0 % q, z.e1 % q, q)
+        got = tab.get(cls)
+        if got is None:
+            got = tab[cls] = self.intern(xc, cls)
+        return got
+
+    def key_id(self, y: FieldElem, x: FieldElem) -> int:
+        xc = _x_canonical(x)
+        return self._class_id(self.classes(xc), xc, y / xc)
+
     def elem_id(self, g: GroupElem) -> int:
         return self.key_id(g.y, g.x)
 
-    def prod_id(self, i: int, j: int) -> int:
-        key = (i << 22) | j
+    def scale(self, x1: FieldElem, x2: FieldElem) -> tuple:
+        """(xc, 1/xc, class table of xc) for xc the canonical generator
+        of x1*x2*O."""
+        key = (x1.e0, x1.e1, x1.q, x2.e0, x2.e1, x2.q)
         got = self.prod.get(key)
         if got is None:
-            g = self.reps[i] * self.reps[j]
-            got = self.prod[key] = self.key_id(g.y, g.x)
+            xc = _x_canonical(x1 * x2)
+            got = self.prod[key] = (xc, 1 / xc, self.classes(xc))
         return got
+
+    def prod_id(self, i: int, j: int) -> int:
+        """The id of the right coset of reps[i] * reps[j]."""
+        g1, g2 = self.reps[i], self.reps[j]
+        xc, inv, tab = self.scale(g1.x, g2.x)
+        return self._class_id(tab, xc, (g2.y + g1.y * g2.x) * inv)
 
 
 _universes: dict = {}
@@ -218,15 +250,84 @@ class CosetFunction:
         return "{" + ", ".join(bits) + "}"
 
 
+def _numerators(data: dict) -> tuple[int, dict]:
+    """The common denominator of the values of `data` and the integer
+    numerators over it."""
+    den = lcm(*(v.denominator for v in data.values()))
+    return den, {i: v.numerator * (den // v.denominator)
+                 for i, v in data.items()}
+
+
+def _scaled_runs(uni: _Universe, nums: dict) -> list:
+    """The support of `nums` cut into runs of consecutive cosets with one
+    scaling part, as [(x, [(y, numerator)])]."""
+    reps = uni.reps
+    runs: list = []
+    x = None
+    for i, n in nums.items():
+        g = reps[i]
+        if x is None or g.x != x:
+            x = g.x
+            cur: list = []
+            runs.append((x, cur))
+        cur.append((g.y, n))
+    return runs
+
+
+def _pair_plan(uni: _Universe, x1: FieldElem, x2: FieldElem,
+               right: list) -> tuple:
+    """What a left coset over x1 needs against a right run over x2:
+    x2/xc, xc, the class table of xc and, per right coset (y2, n2), the
+    class of y2/xc modulo O as a triple (w0, w1, wq) with n2."""
+    xc, inv, tab = uni.scale(x1, x2)
+    ws = []
+    for y2, n2 in right:
+        w = y2 * inv
+        q = w.q
+        ws.append((w.e0 % q, w.e1 % q, q, n2))
+    return x2 * inv, xc, tab, ws
+
+
 def _convolve_data(uni: _Universe, d1: dict, d2: dict) -> dict:
-    prod_id = uni.prod_id
+    """The pair of support cosets (y1, x1) of d1 and (y2, x2) of d2
+    contributes d1 * d2 on the coset of (y2 + y1*x2, x1*x2), keyed by xc
+    and the class of (y2 + y1*x2)/xc modulo O.
+
+    The pairs are met in the order of d1 by d2, so cosets are interned
+    in the same order as by one prod_id call per pair.
+    """
+    den1, nums1 = _numerators(d1)
+    den2, nums2 = _numerators(d2)
+    runs = _scaled_runs(uni, nums2)
+    reps = uni.reps
+    intern = uni.intern
+    plans: dict = {}
     out: dict = {}
-    for i, qf in d1.items():
-        for j, qg in d2.items():
-            k = prod_id(i, j)
-            v = out.get(k)
-            out[k] = qf * qg if v is None else v + qf * qg
-    return {k: v for k, v in out.items() if v}
+    get = out.get
+    for i, n1 in nums1.items():
+        g = reps[i]
+        y1, x1 = g.y, g.x
+        xtag = (x1.e0, x1.e1, x1.q)
+        plan = plans.get(xtag)
+        if plan is None:
+            plan = plans[xtag] = [_pair_plan(uni, x1, x2, right)
+                                  for x2, right in runs]
+        for a, xc, tab, ws in plan:
+            u = y1 * a
+            pq = u.q
+            p0, p1 = u.e0 % pq, u.e1 % pq
+            for w0, w1, wq, n2 in ws:
+                q = pq * wq
+                e0 = (p0 * wq + w0 * pq) % q
+                e1 = (p1 * wq + w1 * pq) % q
+                c = gcd(e0, e1, q)
+                cls = (e0, e1, q) if c == 1 else (e0 // c, e1 // c, q // c)
+                k = tab.get(cls)
+                if k is None:
+                    k = tab[cls] = intern(xc, cls)
+                out[k] = get(k, 0) + n1 * n2
+    den = den1 * den2
+    return {k: Fraction(v, den) for k, v in out.items() if v}
 
 
 def convolve(f: CosetFunction, g: CosetFunction) -> CosetFunction:
@@ -499,6 +600,7 @@ def verify_equivalence(ctx: FieldCtx, bound: int,
     report = {"field": ctx.tag, "bound": bound, "monomials": len(mons),
               "checked": 0, "failed": 0, "failures": []}
     phis = {m: _phi(m, level) for m in mons}
+    images: dict = {}
     for m1 in mons:
         f1 = phis[m1]
         for m2 in mons:
@@ -506,13 +608,27 @@ def verify_equivalence(ctx: FieldCtx, bound: int,
             try:
                 prod = _mul_monomials(m1, m2)
                 kappa = _product_scale(m1, m2, prod)
-                got = convolve(f1, phis[m2])
-                want: dict = {}
+                got = convolve(f1, phis[m2]).data
+                # kappa * sum of q * Phi(m), as integers over one denominator
+                parts = []
+                den = 1
                 for m, q in prod.items():
+                    img = images.get(m)
+                    if img is None:
+                        img = images[m] = _numerators(_phi_data(m)[0])
+                    dm, nums = img
                     kq = kappa * q
-                    for i, v in _phi_data(m)[0].items():
-                        want[i] = want.get(i, 0) + kq * v
-                ok = got.data == {i: v for i, v in want.items() if v}
+                    b = kq.denominator * dm
+                    parts.append((kq.numerator, b, nums))
+                    den = lcm(den, b)
+                want: dict = {}
+                for a, b, nums in parts:
+                    s = a * (den // b)
+                    for i, n in nums.items():
+                        want[i] = want.get(i, 0) + s * n
+                ok = (len(got) == sum(1 for w in want.values() if w)
+                      and all(want.get(i, 0) * v.denominator
+                              == v.numerator * den for i, v in got.items()))
                 detail = "" if ok else "support or value mismatch"
             except AssertionError as exc:
                 ok, detail = False, str(exc)

@@ -37,7 +37,8 @@ class TorsionClass:
         return self.rep == other.rep
 
     def __hash__(self):
-        return hash(self.rep)
+        t = self.rep
+        return hash((t.e0, t.e1, t.q))
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()

@@ -42,6 +42,16 @@ def test_criterion_1_engine_matches_convolution_oracle():
         assert report["checked"] > 0
 
 
+def test_criterion_1_in_more_fields():
+    """The same pairwise sweep over Q(sqrt(-2)) and Q(sqrt(-7)) at norms
+    <= 6 and over Q(sqrt(-3)), with six units, at norms <= 8."""
+    for d, bound in ((2, 6), (7, 6), (3, 8)):
+        report = verify_equivalence(make_ctx(d), bound)
+        assert report["failed"] == 0, report["failures"][:3]
+        assert report["checked"] == report["monomials"] ** 2
+        assert report["checked"] > 0
+
+
 def test_criterion_2_coset_count_formula_vs_enumeration():
     """The index formula for right-coset counts agrees with explicit
     enumeration for all group elements with parameter norms <= 12, and

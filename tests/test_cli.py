@@ -144,6 +144,11 @@ def test_config_file_defaults_and_override(tmp_path):
     bad.write_text("no_such_key = 1\n")
     res = run_fail("kms", "--config", str(bad), "--r", "(1)/(2)")
     assert res.exit_code == 2
+    # a level from the file is checked as one from the command line
+    for level in ("0", "abc"):
+        cfg.write_text(f"level = {level}\n")
+        res = run_fail("verify", "--config", str(cfg))
+        assert res.exit_code == 2 and "Traceback" not in res.output, level
 
 
 def test_level_cap_env():
@@ -194,6 +199,9 @@ def test_exit_codes_without_traceback():
         # a 400-digit integer beta, past the range of a float
         (["kms", "--beta", "1" + "0" * 399, "--r", "(1)/(2)"], 1),
         (["kms", "--beta", "1" + "0" * 399, "--r", "0"], 0),
+        # a sweep that would check no pair is refused, not passed
+        (["verify", "--level", "0"], 2),
+        (["verify", "--level", "-3"], 2),
     ]
     runner = CliRunner()
     for args, code in cases:

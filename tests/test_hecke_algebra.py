@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from hecke.hecke_algebra import (HeckeElement, Monomial, alpha, beta_endo,
-                                 dynamics_weight, identity, mu, sigma_i_beta,
-                                 theta, theta_product)
-from hecke.numberfield import make_ctx
+from hecke.hecke_algebra import (HeckeElement, Monomial, _canonical_label,
+                                 alpha, beta_endo, dynamics_weight, identity,
+                                 mu, sigma_i_beta, theta, theta_product)
+from hecke.numberfield import SUPPORTED_D, ideals_up_to, make_ctx, residues
 from hecke.torsion import torsion_class
 
 
@@ -76,6 +76,35 @@ def test_monomial_canonicalization():
     # idempotence
     m2 = Monomial.make(ctx, m.a, m.r, m.b)
     assert m2 == m and m2.r == m.r
+
+    # redundant labels in every field: through the label memo and through
+    # the uncached builder they give one monomial with one stored label
+    build = _canonical_label.__wrapped__
+    rng = random.Random(5)
+    maxsize = _canonical_label.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
+    for d in SUPPORTED_D:
+        ctx = make_ctx(d)
+        gens = [i.gen for i in ideals_up_to(ctx, 5)]
+        shifts = [ctx.zero, ctx.one] + ([] if d == 0 else [ctx.omega])
+        for _ in range(12):
+            a, b, c, f = (rng.choice(gens) for _ in range(4))
+            r = rng.choice(residues(f)) / f
+            base = Monomial.make(ctx, a, r, b)
+            for _ in range(4):
+                u, v, w = (rng.choice(ctx.units) for _ in range(3))
+                # the factor c of both slots folds back into the label
+                label = (c * a * u, (r / c + rng.choice(shifts)) * w,
+                         c * b * v)
+                got = Monomial.make(ctx, *label)
+                t = torsion_class(label[1]).rep
+                a1, r1, b1 = build(d, label[0].e0, label[0].e1,
+                                   label[2].e0, label[2].e1, t.e0, t.e1, t.q)
+                assert got == base, (d, label)
+                assert (got.a, got.b, got.r.rep) == (a1, b1, r1.rep)
+                assert (got.a, got.b, got.r.rep) == (base.a, base.b,
+                                                     base.r.rep)
+                assert hash(got) == hash(base)
 
 
 def test_theta_product_frozen_rational():

@@ -15,7 +15,8 @@ from hecke.oracle import (CosetFunction, GroupElem, adjoint_fun, convolve,
                           expected_monomial_function, identity_elem,
                           identity_fun, in_subgroup, nu_adj_fun, nu_fun,
                           right_cosets_in_double_coset, symbolic_to_oracle,
-                          theta_fun, verify_equivalence, _universe)
+                          theta_fun, verify_equivalence, _convolve_data,
+                          _universe, _Universe)
 from hecke.torsion import torsion_class
 
 
@@ -148,6 +149,83 @@ def test_convolution_associativity():
         for _ in range(8):
             f, g, h = (rng.choice(fs) for _ in range(3))
             assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
+
+
+def _pairwise_convolve(uni, d1, d2):
+    """Reference convolution: one group product and one key per pair of
+    support cosets, summed as Fractions; zero sums are kept."""
+    out = {}
+    for i, qf in d1.items():
+        for j, qg in d2.items():
+            g = uni.reps[i] * uni.reps[j]
+            k = uni.key_id(g.y, g.x)
+            out[k] = out.get(k, 0) + Fraction(qf) * Fraction(qg)
+    return out
+
+
+def _rand_coset_data(rng, ctx, uni, ndc):
+    """Random values (mixed denominators, not constant on double cosets)
+    on the right cosets of ndc random double cosets, in shuffled order so
+    that cosets of different scaling parts interleave."""
+    items = []
+    for _ in range(ndc):
+        num = ctx.elem(rng.randint(1, 3),
+                       0 if ctx.is_rational else rng.randint(0, 1))
+        x = num / rng.choice([1, 2, 3])
+        gamma = GroupElem(_rand_elem(rng, ctx, 3), x)
+        for rep in right_cosets_in_double_coset(gamma):
+            v = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]),
+                         rng.choice([1, 2, 3, 4, 6]))
+            items.append((uni.elem_id(rep), v))
+    rng.shuffle(items)
+    return dict(items)
+
+
+def test_grouped_convolution_matches_pairwise_reference():
+    rng = random.Random(41)
+    for d in (0, 1, 3):
+        ctx = make_ctx(d)
+        for trial in range(12):
+            # two fresh universes fed the same operands: the grouped
+            # product must intern new cosets in the pairwise order
+            unis = (_Universe(ctx), _Universe(ctx))
+            seed = rng.randrange(1 << 30)
+            ops = [(_rand_coset_data(random.Random(seed), ctx, u, 3),
+                    _rand_coset_data(random.Random(seed + 1), ctx, u, 2))
+                   for u in unis]
+            (f1, g1), (f2, g2) = ops
+            assert f1 == f2 and g1 == g2
+            got = _convolve_data(unis[0], f1, g1)
+            want = _pairwise_convolve(unis[1], f2, g2)
+            assert got == {k: v for k, v in want.items() if v}, (d, trial)
+            assert unis[0].reps == unis[1].reps
+            assert unis[0].levels == unis[1].levels
+
+        # terms that cancel: with stored representatives A, B over one
+        # scaling part 1/k (k integral) and C, the coset c' of
+        # (y_C + (y_A - y_B) x_C, x_C) has A C and B c' on one coset
+        uni, ref = _Universe(ctx), _Universe(ctx)
+        cancelled = 0
+        for _ in range(8):
+            x = 1 / ctx.elem(rng.randint(1, 4),
+                             0 if ctx.is_rational else rng.randint(0, 2))
+            a = GroupElem(_rand_elem(rng, ctx), x)
+            b = GroupElem(_rand_elem(rng, ctx), x)
+            c = _rand_group(rng, ctx)
+            for u in (uni, ref):
+                ia, ib, ic = (u.elem_id(g) for g in (a, b, c))
+                A, B, C = u.reps[ia], u.reps[ib], u.reps[ic]
+                ic2 = u.elem_id(GroupElem(C.y + (A.y - B.y) * C.x, C.x))
+            if ia == ib:
+                continue
+            f = {ia: Fraction(1, 3), ib: Fraction(1, 3)}
+            g = {ic: Fraction(3, 2), ic2: Fraction(-3, 2)}
+            got = _convolve_data(uni, f, g)
+            want = _pairwise_convolve(ref, f, g)
+            cancelled += list(want.values()).count(0)
+            assert got == {k: v for k, v in want.items() if v}
+            assert uni.reps == ref.reps
+        assert cancelled > 0
 
 
 def test_adjoint():
