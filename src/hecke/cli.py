@@ -7,9 +7,13 @@ their modulus and coefficient vector.  Exit codes: 0 on success, 1 when
 a verification-style command finds a failure (or a domain precondition
 is violated), 2 on usage errors.
 
-A config file of key=value lines can preset any option; explicit flags
-win.  The environment variable HECKE_LEVEL_MAX caps the level/bound of
-enumeration-heavy commands as a safety valve.
+Every command takes --config FILE, a file of key=value lines keyed by
+option names (field_tag, beta, r_text, level, ...).  The file becomes
+the command's click default map: each value is converted and checked by
+its option's type like the flag (exit 2 when malformed), a required
+option may come from the file, and explicit flags win.  The environment
+variable HECKE_LEVEL_MAX caps the level, level norm or series bound of
+every enumeration-heavy command as a safety valve.
 """
 from __future__ import annotations
 
@@ -85,31 +89,37 @@ def _cyclo_json(v: CycloNum) -> dict:
     }
 
 
-def _apply_config(params: dict, config_path: str | None) -> dict:
-    """Fill in options that were left at their defaults from a
-    key=value file; explicit command-line flags keep priority."""
-    if not config_path:
-        return params
-    fromfile = {}
-    with open(config_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise click.UsageError(
-                    f"config line {line!r} is not key=value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            fromfile[key.replace("-", "_")] = val
-    clicktx = click.get_current_context()
-    merged = dict(params)
-    for key, val in fromfile.items():
-        if key not in merged:
+def _read_config(clicktx: click.Context, _param, path: str | None) -> None:
+    """Make a key=value file the command's default map, so each value
+    passes through its option's type and explicit flags keep priority."""
+    if path is None:
+        return
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.UsageError(f"cannot read config {path!r}: {exc}")
+    names = {p.name for p in clicktx.command.params
+             if isinstance(p, click.Option) and p.expose_value}
+    values = {}
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise click.UsageError(f"config line {line!r} is not key=value")
+        key, val = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in names:
             raise click.UsageError(f"unknown config key {key!r}")
-        src = clicktx.get_parameter_source(key)
-        if src is not None and src.name != "COMMANDLINE":
-            merged[key] = val
-    return merged
+        values[key] = val
+    clicktx.default_map = values
+
+
+_config_option = click.option(
+    "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+    expose_value=False, callback=_read_config,
+    help="key=value file of option defaults; explicit flags win")
 
 
 def _level_guard(norm: int) -> None:
@@ -175,12 +185,10 @@ def main() -> None:
 
 @main.command("field")
 @click.option("--field", "field_tag", default="Q", show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
-def field_cmd(field_tag: str, config_path: str | None) -> None:
+@_config_option
+def field_cmd(field_tag: str) -> None:
     """Describe the chosen base field and its integer ring."""
-    params = _apply_config({"field_tag": field_tag}, config_path)
-    ctx = _field(params["field_tag"])
+    ctx = _field(field_tag)
     _emit({
         "field": ctx.tag,
         "rational": ctx.is_rational,
@@ -193,15 +201,12 @@ def field_cmd(field_tag: str, config_path: str | None) -> None:
 
 @main.command("mul")
 @click.option("--field", "field_tag", default="Q", show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
+@_config_option
 @click.argument("left")
 @click.argument("right")
-def mul_cmd(field_tag: str, config_path: str | None, left: str,
-            right: str) -> None:
+def mul_cmd(field_tag: str, left: str, right: str) -> None:
     """Multiply two products of generators and print the expansion."""
-    params = _apply_config({"field_tag": field_tag}, config_path)
-    ctx = _field(params["field_tag"])
+    ctx = _field(field_tag)
     try:
         product = mul_hecke(_parse_algebra(ctx, left),
                             _parse_algebra(ctx, right))
@@ -232,25 +237,17 @@ def mul_cmd(field_tag: str, config_path: str | None, left: str,
               help="character datum (extreme)")
 @click.option("--bound", default=100000, show_default=True,
               help="series cutoff for finite-beta extreme states")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
+@_config_option
 def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
-            level: str | None, w_text: str, bound: int,
-            config_path: str | None) -> None:
+            level: str | None, w_text: str, bound: int) -> None:
     """Evaluate an equilibrium state on theta(r)."""
-    params = _apply_config({
-        "field_tag": field_tag, "beta": beta, "r_text": r_text,
-        "extreme": extreme, "level": level, "w_text": w_text,
-        "bound": bound,
-    }, config_path)
-    ctx = _field(params["field_tag"])
-    r = _torsion(ctx, params["r_text"])
-    beta_text = str(params["beta"]).strip().lower()
+    ctx = _field(field_tag)
+    r = _torsion(ctx, r_text)
+    beta_text = beta.strip().lower()
     try:
         bval = int(beta_text) if beta_text.isdigit() else float(beta_text)
     except ValueError:
         raise click.UsageError(f"--beta {beta_text!r} is not a number")
-    extreme = params["extreme"] in (True, "true", "1", "yes")
     try:
         if not extreme:
             if beta_text in ("inf", "infinity"):
@@ -265,10 +262,9 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
                 _emit({"beta": beta_text, "field": ctx.tag,
                        "numeric": float(val)})
             return
-        if params["level"] is None:
+        if level is None:
             raise click.UsageError("--extreme needs --level")
-        chi = CharacterPoint.make(ctx, _elem(ctx, str(params["level"])),
-                                  _elem(ctx, str(params["w_text"])))
+        chi = CharacterPoint.make(ctx, _elem(ctx, level), _elem(ctx, w_text))
         if beta_text in ("inf", "infinity"):
             out = _cyclo_json(phi_extreme_infty(r, chi))
             out.update({"beta": "inf", "field": ctx.tag,
@@ -276,8 +272,10 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
                         "w": format_element(chi.w)})
             _emit(out)
             return
-        kp = KmsParams(beta=float(beta_text), bound=int(params["bound"]))
+        kp = KmsParams(beta=float(beta_text), bound=bound)
         _level_guard(kp.bound)
+        # the residue sums are an N(c) x N(c) table
+        _level_guard(chi.level_norm)
         val, err = phi_extreme_beta(r, chi, kp)
         _emit({"beta": beta_text, "bound": kp.bound, "err": err,
                "field": ctx.tag, "level": format_element(chi.c),
@@ -291,21 +289,15 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
 @click.option("--field", "field_tag", default="Q", show_default=True)
 @click.option("--beta", default=2.0, show_default=True, type=float)
 @click.option("--tol", default=1e-7, show_default=True, type=float)
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
-def zeta_cmd(field_tag: str, beta: float, tol: float,
-             config_path: str | None) -> None:
+@_config_option
+def zeta_cmd(field_tag: str, beta: float, tol: float) -> None:
     """Partition function value with a certified error bound."""
-    params = _apply_config({"field_tag": field_tag, "beta": beta,
-                            "tol": tol}, config_path)
-    ctx = _field(params["field_tag"])
+    ctx = _field(field_tag)
     try:
-        val, err = zeta_k(ctx, float(params["beta"]),
-                          tol=float(params["tol"]))
+        val, err = zeta_k(ctx, beta, tol=tol)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    _emit({"beta": float(params["beta"]), "err": err, "field": ctx.tag,
-           "value": val})
+    _emit({"beta": beta, "err": err, "field": ctx.tag, "value": val})
 
 
 @main.command("pair")
@@ -313,19 +305,13 @@ def zeta_cmd(field_tag: str, beta: float, tol: float,
 @click.option("--level", required=True)
 @click.option("--w", "w_text", default="1", show_default=True)
 @click.option("--r", "r_text", required=True)
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
-def pair_cmd(field_tag: str, level: str, w_text: str, r_text: str,
-             config_path: str | None) -> None:
+@_config_option
+def pair_cmd(field_tag: str, level: str, w_text: str, r_text: str) -> None:
     """Pair a torsion class with a character point."""
-    params = _apply_config({"field_tag": field_tag, "level": level,
-                            "w_text": w_text, "r_text": r_text},
-                           config_path)
-    ctx = _field(params["field_tag"])
+    ctx = _field(field_tag)
     try:
-        chi = CharacterPoint.make(ctx, _elem(ctx, params["level"]),
-                                  _elem(ctx, params["w_text"]))
-        e = pair_exponent(_torsion(ctx, params["r_text"]), chi)
+        chi = CharacterPoint.make(ctx, _elem(ctx, level), _elem(ctx, w_text))
+        e = pair_exponent(_torsion(ctx, r_text), chi)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     z = cmath.exp(2j * cmath.pi * float(e))
@@ -335,30 +321,21 @@ def pair_cmd(field_tag: str, level: str, w_text: str, r_text: str,
 
 @main.command("verify")
 @click.option("--field", "field_tag", default="Q", show_default=True)
-@click.option("--level", default=4, show_default=True, type=int,
+# no monomial has slot norm below 1: a lower bound would check nothing
+@click.option("--level", default=4, show_default=True,
+              type=click.IntRange(min=1),
               help="norm bound for the monomial sweep")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
-def verify_cmd(field_tag: str, level: int, config_path: str | None) -> None:
+@_config_option
+def verify_cmd(field_tag: str, level: int) -> None:
     """Sweep all small monomial products against the coset oracle."""
-    params = _apply_config({"field_tag": field_tag, "level": level},
-                           config_path)
-    ctx = _field(params["field_tag"])
-    try:
-        bound = int(params["level"])
-    except ValueError:
-        raise click.UsageError(f"--level {params['level']!r} is not an "
-                               "integer")
-    if bound < 1:
-        # no monomial has slot norm below 1: the sweep would check nothing
-        raise click.UsageError(f"--level must be at least 1, got {bound}")
-    _level_guard(bound)
-    report = verify_equivalence(ctx, bound)
+    ctx = _field(field_tag)
+    _level_guard(level)
+    report = verify_equivalence(ctx, level)
     _emit({
         "checked": report["checked"],
         "failures": report["failures"],
         "field": ctx.tag,
-        "level": bound,
+        "level": level,
         "monomials": report["monomials"],
     })
     if report["failed"]:
@@ -371,20 +348,18 @@ def verify_cmd(field_tag: str, level: int, config_path: str | None) -> None:
 @click.option("--w", "w_text", default="1", show_default=True)
 @click.option("--j", "j_text", required=True)
 @click.option("--r", "r_text", required=True)
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
+@_config_option
 def galois_cmd(field_tag: str, level: str, w_text: str, j_text: str,
-               r_text: str, config_path: str | None) -> None:
+               r_text: str) -> None:
     """Geometric versus arithmetic action on one ground-state value."""
-    params = _apply_config({"field_tag": field_tag, "level": level,
-                            "w_text": w_text, "j_text": j_text,
-                            "r_text": r_text}, config_path)
-    ctx = _field(params["field_tag"])
+    ctx = _field(field_tag)
     try:
-        lvl = _elem(ctx, params["level"])
-        chi = CharacterPoint.make(ctx, lvl, _elem(ctx, params["w_text"]))
-        g = SymmetryElem.make(ctx, lvl, _elem(ctx, params["j_text"]))
-        rep = compare_actions(_torsion(ctx, params["r_text"]), chi, g)
+        lvl = _elem(ctx, level)
+        chi = CharacterPoint.make(ctx, lvl, _elem(ctx, w_text))
+        # the level group enumerates all N(c) residues
+        _level_guard(chi.level_norm)
+        g = SymmetryElem.make(ctx, lvl, _elem(ctx, j_text))
+        rep = compare_actions(_torsion(ctx, r_text), chi, g)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     _emit({
@@ -401,17 +376,13 @@ def galois_cmd(field_tag: str, level: str, w_text: str, j_text: str,
 @main.command("regularity")
 @click.option("--field", "field_tag", default="Q", show_default=True)
 @click.option("--level", required=True)
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
-def regularity_cmd(field_tag: str, level: str,
-                   config_path: str | None) -> None:
+@_config_option
+def regularity_cmd(field_tag: str, level: str) -> None:
     """Check that the symmetry group permutes the level's ground states
     simply transitively."""
-    params = _apply_config({"field_tag": field_tag, "level": level},
-                           config_path)
-    ctx = _field(params["field_tag"])
+    ctx = _field(field_tag)
     try:
-        lvl = canonical_generator(_elem(ctx, params["level"]))
+        lvl = canonical_generator(_elem(ctx, level))
         _level_guard(int(lvl.norm()))
         rep = regularity_check(lvl)
     except ValueError as exc:

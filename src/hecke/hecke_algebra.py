@@ -174,18 +174,6 @@ def _theta_dict_mul(ctx: FieldCtx, F: dict, G: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _alpha_one_dict(ctx: FieldCtx, g: FieldElem) -> dict:
-    # mu_g mu_g^* = (1/N_g) sum_{x mod g} theta_{x/g}
-    if g.is_unit:
-        return _theta_dict(torsion_class(ctx.zero))
-    n = int(g.norm())
-    out: dict = {}
-    for x in residues(g):
-        k = orbit_canonical(torsion_class(x / g))
-        out[k] = out.get(k, 0) + Fraction(1, n)
-    return out
-
-
 def _alpha_dict(ctx: FieldCtx, a: FieldElem, F: dict) -> dict:
     # alpha_a(theta_t) = (1/N_a) sum_{x mod a} theta_{(t+x)/a}
     if a.is_unit:
@@ -193,7 +181,7 @@ def _alpha_dict(ctx: FieldCtx, a: FieldElem, F: dict) -> dict:
     n = int(a.norm())
     out: dict = {}
     for t, q in F.items():
-        qq = q * Fraction(1, n)
+        qq = q / n
         for x in residues(a):
             k = orbit_canonical(torsion_class((t.rep + x) / a))
             out[k] = out.get(k, 0) + qq
@@ -225,7 +213,9 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> dict:
     c1 = _canon_div(c, g)
 
     H = _theta_dict(r.scaled(b1))
-    H = _theta_dict_mul(ctx, H, _alpha_one_dict(ctx, g))
+    # mu_g mu_g^* = alpha_g(theta_0)
+    H = _theta_dict_mul(
+        ctx, H, _alpha_dict(ctx, g, _theta_dict(torsion_class(ctx.zero))))
     H = _theta_dict_mul(ctx, H, _theta_dict(s.scaled(c1)))
 
     E = canonical_generator(a * c1)

@@ -489,22 +489,13 @@ def expected_monomial_function(m: Monomial,
 # the correspondence with the symbolic algebra
 
 
-def _std_data(uni: _Universe, kind: str, key) -> dict:
-    """Cached support data of the generator functions nu_a, nu_a^* and
-    theta_r, so repeated monomial images reuse them."""
-    k = (kind, key)
+def _std_data(uni: _Universe, fun, key) -> dict:
+    """Cached support data of a generator function fun(key) (nu_fun,
+    nu_adj_fun or theta_fun), so repeated monomial images reuse it."""
+    k = (fun, key)
     got = uni.std.get(k)
     if got is None:
-        ctx = uni.ctx
-        if kind == "nu":
-            f = _indicator_dc(GroupElem(ctx.zero, key), 1, DEFAULT_LEVEL)
-        elif kind == "nuadj":
-            f = _indicator_dc(GroupElem(ctx.zero, 1 / key), 1, DEFAULT_LEVEL)
-        else:
-            R = stabilizer_index(key)
-            f = _indicator_dc(GroupElem(key.rep, ctx.one),
-                              Fraction(1, R), DEFAULT_LEVEL)
-        got = uni.std[k] = f.data
+        got = uni.std[k] = fun(key).data
     return got
 
 
@@ -514,9 +505,9 @@ def _phi_data(m: Monomial) -> tuple[dict, int]:
     uni = _universe(m.ctx)
     got = uni.phi.get(m)
     if got is None:
-        data = _convolve_data(uni, _std_data(uni, "nuadj", m.a),
-                              _std_data(uni, "theta", m.r))
-        data = _convolve_data(uni, data, _std_data(uni, "nu", m.b))
+        data = _convolve_data(uni, _std_data(uni, nu_adj_fun, m.a),
+                              _std_data(uni, theta_fun, m.r))
+        data = _convolve_data(uni, data, _std_data(uni, nu_fun, m.b))
         maxlev = max((uni.levels[i] for i in data), default=1)
         got = uni.phi[m] = (data, maxlev)
     return got

@@ -7,9 +7,12 @@ the JSON is reparsed and compared against its float rendering.
 import json
 import math
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from hecke.cli import main
 
@@ -151,10 +154,57 @@ def test_config_file_defaults_and_override(tmp_path):
         assert res.exit_code == 2 and "Traceback" not in res.output, level
 
 
+def test_config_values_checked_like_flags(tmp_path):
+    # a value from the file passes through its option's type, so it is
+    # refused with exit 2 exactly where the same flag would be
+    cfg = tmp_path / "hecke.cfg"
+    cases = [
+        (["zeta"], b"beta = abc\n"),
+        (["kms", "--extreme", "--level", "5", "--r", "(1)/(5)"],
+         b"bound = abc\n"),
+        (["kms", "--r", "(1)/(2)"], b"extreme = maybe\n"),
+        (["kms", "--r", "(1)/(2)"], b"config = other.cfg\n"),
+        (["kms", "--r", "(1)/(2)"], b"beta 2\n"),
+        (["field"], b"field_tag = d1\xff\n"),
+    ]
+    runner = CliRunner()
+    for args, text in cases:
+        cfg.write_bytes(text)
+        res = runner.invoke(main, [*args, "--config", str(cfg)])
+        assert res.exit_code == 2, (args, text, res.output)
+        assert res.exception is None or isinstance(res.exception,
+                                                   SystemExit), (args, text)
+    res = runner.invoke(main, ["field", "--config", str(tmp_path)])
+    assert res.exit_code == 2 and "directory" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    # required options may come from the file alone; a dash in a key
+    # reads as an underscore, and the flag still wins over the file
+    cfg.write_text("level = 5\nr-text = (1)/(5)  # comment\nw_text = 2\n")
+    assert run_ok("pair", "--config", str(cfg))["exponent"] == "2/5"
+    assert run_ok("pair", "--config", str(cfg), "--w", "1")["exponent"] \
+        == "1/5"
+    cfg.write_text("level = 5\nr_text = (1)/(5)\nw_text = 2\nextreme = yes\n")
+    data = run_ok("kms", "--config", str(cfg), "--field", "d1",
+                  "--beta", "inf")
+    assert data["cyclotomic"]["m"] == 5 and data["w"] == "2"
+
+
 def test_level_cap_env():
     res = run_fail("verify", "--field", "Q", "--level", "8",
                    env={"HECKE_LEVEL_MAX": "5"})
     assert res.exit_code == 2
+    # the level group and the finite-beta residue table enumerate all
+    # N(c) residues, so the level norm is capped as for regularity
+    for args in (["galois-compare", "--field", "Q", "--level", "11",
+                  "--j", "2", "--r", "(1)/(11)"],
+                 ["galois-compare", "--field", "d1", "--level", "5",
+                  "--j", "2", "--r", "(1)/(5)"],
+                 ["kms", "--field", "Q", "--extreme", "--level", "11",
+                  "--bound", "5", "--r", "(1)/(11)"]):
+        res = run_fail(*args, env={"HECKE_LEVEL_MAX": "10"})
+        assert res.exit_code == 2 and "HECKE_LEVEL_MAX" in res.output, args
+        assert res.exception is None or isinstance(res.exception,
+                                                   SystemExit), args
     data = run_ok("verify", "--field", "Q", "--level", "3",
                   env={"HECKE_LEVEL_MAX": "5"})
     assert data["failures"] == []
@@ -212,3 +262,90 @@ def test_exit_codes_without_traceback():
     # an exact value too long to print names the limit it exceeds
     res = runner.invoke(main, ["kms", "--beta", "20000", "--r", "(1)/(2)"])
     assert str(sys.get_int_max_str_digits()) in res.output
+
+
+# -- fuzzing: random flags and config files through the runner -------------
+
+# each option's values as (well-formed, malformed or over the level cap of
+# 30 set below); finite betas stay at 2 or more and zeta always gets a
+# coarse tol, so no call needs the large prime tables
+_FIELDS = (["Q", "d1", "d3"], ["zz"])
+_LEVELS = (["1", "2", "5", "1+1*w"], ["0", "abc", "40"])
+_RS = (["(1)/(2)", "(1)/(5)", "0", "1/2"], ["(1)/(0)", "bogus"])
+_WS = (["1", "2", "3"], ["abc"])
+_COMMANDS = {
+    "field": {"field_tag": _FIELDS},
+    "mul": {"field_tag": _FIELDS},
+    "kms": {"field_tag": _FIELDS,
+            "beta": (["2", "3", "2.5", "inf"], ["1", "0", "-1", "abc"]),
+            "r_text": _RS, "extreme": (["true", "false"], ["maybe"]),
+            "level": _LEVELS, "w_text": _WS,
+            "bound": (["10", "20"], ["abc", "-5", "100"])},
+    "zeta": {"field_tag": _FIELDS, "beta": (["2", "3"], ["1", "0.5", "abc"]),
+             "tol": (["1e-2", "1e-3"], ["0", "abc"])},
+    "pair": {"field_tag": _FIELDS, "level": _LEVELS, "w_text": _WS,
+             "r_text": _RS},
+    "verify": {"field_tag": _FIELDS,
+               "level": (["1", "2", "3"], ["0", "-1", "abc", "99"])},
+    "galois-compare": {"field_tag": _FIELDS, "level": _LEVELS, "w_text": _WS,
+                       "j_text": (["1", "2", "3"], ["0", "abc"]),
+                       "r_text": _RS},
+    "regularity": {"field_tag": _FIELDS, "level": _LEVELS},
+}
+_FLAGS = {"field_tag": "--field", "r_text": "--r", "w_text": "--w",
+          "j_text": "--j"}
+_ALGEBRA = (["theta(1/2)", "mu(2)", "mustar(3)", "id"], ["mu(0)", "bogus(1)"])
+_JUNK = (["# a comment", ""], ["no_such_key = 1", "garbage", "config = x"])
+
+
+def _pick(draw, values):
+    # about one value in six is malformed; hypothesis favours the bounds
+    # of an integer range, so the rare case sits inside it
+    good, bad = values
+    return draw(st.sampled_from(bad if draw(st.integers(0, 5)) == 3
+                                else good))
+
+
+@st.composite
+def _invocations(draw):
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    args, lines = [name], []
+    for key, values in _COMMANDS[name].items():
+        where = draw(st.sampled_from(
+            ["flag", "file", "both"] if key == "tol"
+            else ["flag", "file", "both", "flag", "file", "none"]))
+        if where in ("flag", "both"):
+            val = _pick(draw, values)
+            if key != "extreme":
+                args += [_FLAGS.get(key, "--" + key), val]
+            elif val == "true":
+                args.append("--extreme")
+        if where in ("file", "both"):
+            fkey = draw(st.sampled_from([key, key.replace("_", "-")]))
+            lines.append(f"{fkey} = {_pick(draw, values)}")
+    if name == "mul":
+        args += [_pick(draw, _ALGEBRA)
+                 for _ in range(draw(st.sampled_from([2, 2, 2, 1])))]
+    lines += [_pick(draw, _JUNK) for _ in range(draw(st.integers(0, 2)))]
+    text = "\n".join(draw(st.permutations(lines))).encode()
+    if draw(st.integers(0, 19)) == 7:  # a file that is not UTF-8
+        text += b"\xff"
+    return args, (text if lines or draw(st.booleans()) else None)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_invocations())
+def test_fuzz_exit_codes_and_json(invocation):
+    args, text = invocation
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            cfg = Path(tmp) / "fuzz.cfg"
+            cfg.write_bytes(text)
+            args = [*args, "--config", str(cfg)]
+        res = runner.invoke(main, args, env={"HECKE_LEVEL_MAX": "30"})
+    assert res.exit_code in (0, 1, 2), (args, text, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        (args, text, res.exception)
+    if res.exit_code == 0:
+        json.loads(res.stdout)
