@@ -3,7 +3,7 @@
 Every subcommand prints one JSON object with sorted keys, so identical
 invocations produce byte-identical output.  Exact rationals are emitted
 as strings ("-1/8") next to float renderings; cyclotomic values carry
-their modulus and coefficient vector.  Exit codes: 0 on success, 1 when
+their conductor and coefficient vector.  Exit codes: 0 on success, 1 when
 a verification-style command finds a failure (or a domain precondition
 is violated), 2 on usage errors.
 

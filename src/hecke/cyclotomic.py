@@ -1,12 +1,13 @@
-"""Exact arithmetic in cyclotomic fields.
+"""Exact arithmetic in cyclotomic fields, one stored form per value.
 
-A value is a rational linear combination of powers of a primitive m-th
-root of unity zeta_m, stored as the coefficient vector over the power
-basis 1, zeta, ..., zeta^(phi(m)-1) after reduction by the m-th
-cyclotomic polynomial.  This representation is unique for a fixed
-modulus, so equality at one modulus is coefficientwise; values at
-different moduli are compared after promotion to the least common
-multiple, using zeta_m = zeta_M^(M/m).
+A value is stored at its conductor m, the least modulus whose roots of
+unity generate a field holding it (never 2 mod 4), as integer numerators
+over one positive denominator in lowest terms, on the power basis
+1, zeta_m, ..., zeta_m^(phi(m)-1) left by reduction modulo the m-th
+cyclotomic polynomial.  Equal values have equal triples (m, nums, den),
+which equality and hashing compare.  Sums and products meet at the lcm
+M of the conductors, using zeta_m = zeta_M^(M/m), and descend to the
+conductor of the result one prime at a time (Breuer, AAECC 8, 1997).
 
 The Galois action of k coprime to m sends zeta_m to zeta_m^k; complex
 embeddings evaluate at exp(2*pi*i/m).
@@ -17,6 +18,8 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+
+from .numberfield import factor_int
 
 __all__ = ["CycloNum", "root_of_unity", "from_exponent"]
 
@@ -31,55 +34,82 @@ def _reduction_tail(m: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (m - 1) + [1]  # lowest degree first
     for d in range(1, m):
         if m % d == 0:
-            poly = _divide_monic(poly, _reduction_tail(d) + (1,))
+            poly, rest = _divmod(poly, d)
+            assert not any(rest), "division left a remainder"
     return tuple(poly[:-1])
 
 
-def _divide_monic(num: list, den: tuple) -> list:
-    """The quotient num/den of integer polynomials (lowest degree first)
-    for a monic den that divides num exactly."""
-    num = list(num)
-    k = len(den) - 1
-    quot = [0] * (len(num) - k)
+def _divmod(num: list, m: int) -> tuple[list, list]:
+    """Quotient and remainder of the integer polynomial num (lowest degree
+    first, any length; changed in place) by Phi_m, the remainder padded
+    to the basis length phi(m)."""
+    tail = _reduction_tail(m)
+    k = len(tail)
+    quot = [0] * max(len(num) - k, 0)
     for i in range(len(quot) - 1, -1, -1):
         c = quot[i] = num[i + k]
         if c:
-            for j, t in enumerate(den):
-                num[i + j] -= c * t
-    assert not any(num[:k]), "division left a remainder"
-    return quot
-
-
-def _reduce_vector(vec: list, m: int) -> tuple:
-    """Reduce a raw coefficient list (any length) modulo the m-th
-    cyclotomic polynomial and trim to the basis length."""
-    tail = _reduction_tail(m)
-    deg = len(tail)
-    for i in range(len(vec) - 1, deg - 1, -1):
-        c = vec[i]
-        if c:
-            vec[i] = 0
-            base = i - deg
             for j, t in enumerate(tail):
                 if t:
-                    vec[base + j] -= c * t
-    out = vec[:deg]
-    if len(out) < deg:
-        out = out + [Fraction(0)] * (deg - len(out))
-    return tuple(Fraction(c) for c in out)
+                    num[i + j] -= c * t
+    return quot, num[:k] + [0] * (k - len(num))
+
+
+def _descend(m: int, vec: list) -> tuple[int, list, int]:
+    """(conductor, vec', scale) for the value sum(vec[j] zeta_m^j) =
+    sum(vec'[j] zeta^j) / scale, vec reduced.  Per prime p | m it descends
+    to m/p while the value equals its average over the k = 1 (mod m/p):
+    for p^2 | m that keeps the exponents divisible by p, for p || m it
+    weights zeta_p^a by 1 if a = 0 and -1/(p-1) otherwise (the identity
+    for p = 2).  A prime that fails once fails further down too."""
+    scale = 1
+    for p in factor_int(m):
+        while m % p == 0:
+            n = m // p
+            if n % p == 0:
+                if any(vec[j] for j in range(len(vec)) if j % p):
+                    break
+                vec = vec[::p]
+            else:
+                inv = pow(p, -1, n)  # zeta_m^(p*i) = zeta_n^i
+                proj = [0] * n
+                for j, c in enumerate(vec):
+                    proj[j * inv % n] += c * (p - 1) if j % p == 0 else -c
+                proj = _divmod(proj, n)[1]
+                if p > 2:
+                    lifted = [0] * m
+                    lifted[:p * len(proj):p] = proj
+                    if _divmod(lifted, m)[1] != [c * (p - 1) for c in vec]:
+                        break
+                    scale *= p - 1
+                vec = proj
+            m = n
+    return m, vec, scale
 
 
 class CycloNum:
-    """An exact element of the cyclotomic field of modulus m."""
+    """An exact element of a cyclotomic field, stored at its conductor m
+    as integer numerators over one positive denominator, in lowest terms;
+    CycloNum(m, coeffs, den) is sum(coeffs[j] * zeta_m^j) / den."""
 
-    __slots__ = ("m", "coeffs")
-    __hash__ = None  # cross-modulus equality makes hashing unsafe
+    __slots__ = ("m", "nums", "den")
 
-    def __init__(self, m: int, coeffs):
+    def __init__(self, m: int, coeffs, den: int = 1):
         if m < 1:
             raise ValueError("modulus must be a positive integer")
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        nums = list(coeffs)
+        if not all(isinstance(c, int) for c in nums):
+            scale = lcm(*(Fraction(c).denominator for c in nums))
+            nums = [int(Fraction(c) * scale) for c in nums]
+            den *= scale
+        m, nums, scale = _descend(m, _divmod(nums, m)[1])
+        den *= scale
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         self.m = m
-        self.coeffs = _reduce_vector([Fraction(c) for c in coeffs], m)
+        self.nums = tuple(c // g for c in nums)
+        self.den = den // g
 
     @classmethod
     def rational(cls, q) -> "CycloNum":
@@ -93,25 +123,10 @@ class CycloNum:
     def one(cls) -> "CycloNum":
         return cls.rational(1)
 
-    # -- modulus management
-
-    def promoted(self, big: int) -> "CycloNum":
-        """The same value re-expressed at a modulus that m divides."""
-        if big == self.m:
-            return self
-        if big % self.m:
-            raise ValueError("can only promote to a multiple of the modulus")
-        step = big // self.m
-        deg = len(_reduction_tail(big))
-        vec = [Fraction(0)] * max(deg, (len(self.coeffs) - 1) * step + 1)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                vec[j * step] += c
-        return CycloNum(big, vec)
-
-    def _pair(self, other: "CycloNum"):
-        big = lcm(self.m, other.m)
-        return self.promoted(big), other.promoted(big)
+    @property
+    def coeffs(self) -> tuple:
+        """The rational coordinates on the power basis of zeta_m."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- ring operations
 
@@ -122,17 +137,29 @@ class CycloNum:
             return CycloNum.rational(other)
         return None
 
+    def _meet(self, o: "CycloNum"):
+        """Both operands as (exponent, numerator) terms at the lcm of the
+        two conductors, where zeta_m = zeta_big^(big/m)."""
+        big = lcm(self.m, o.m)
+        return big, *([(j * big // v.m, c) for j, c in enumerate(v.nums) if c]
+                      for v in (self, o))
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._pair(o)
-        return CycloNum(a.m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        big, a, b = self._meet(o)
+        vec = [0] * big
+        for j, c in a:
+            vec[j] += c * o.den
+        for j, c in b:
+            vec[j] += c * self.den
+        return CycloNum(big, vec, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.m, [-c for c in self.coeffs])
+        return CycloNum(self.m, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -150,15 +177,12 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._pair(o)
-        n1, n2 = len(a.coeffs), len(b.coeffs)
-        vec = [Fraction(0)] * (n1 + n2 - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        vec[i + j] += x * y
-        return CycloNum(a.m, vec)
+        big, a, b = self._meet(o)
+        vec = [0] * big
+        for i, x in a:
+            for j, y in b:
+                vec[(i + j) % big] += x * y
+        return CycloNum(big, vec, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -167,15 +191,20 @@ class CycloNum:
             if other == 0:
                 raise ZeroDivisionError("division by zero")
             q = Fraction(other)
-            return CycloNum(self.m, [c / q for c in self.coeffs])
+            return CycloNum(self.m, [c * q.denominator for c in self.nums],
+                            self.den * q.numerator)
         return NotImplemented
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._pair(o)
-        return a.coeffs == b.coeffs
+        return (self.m, self.den, self.nums) == (o.m, o.den, o.nums)
+
+    def __hash__(self):
+        if self.m == 1:  # a rational value hashes like its Fraction
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.m, self.den, self.nums))
 
     # -- structure maps
 
@@ -184,35 +213,32 @@ class CycloNum:
         modulo m; fixes all rationals."""
         if gcd(k, self.m) != 1:
             raise ValueError(f"exponent {k} is not invertible modulo {self.m}")
-        vec = [Fraction(0)] * self.m
-        for j, c in enumerate(self.coeffs):
-            if c:
-                vec[(j * k) % self.m] += c
-        return CycloNum(self.m, vec)
+        vec = [0] * self.m
+        for j, c in enumerate(self.nums):
+            vec[(j * k) % self.m] += c
+        return CycloNum(self.m, vec, self.den)
 
     def conjugate(self) -> "CycloNum":
-        return self.galois(self.m - 1 if self.m > 1 else 1)
+        return self.galois(-1)
 
     # -- views
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def as_rational(self):
         """The value as a Fraction if it is rational, else None."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den) if self.m == 1 else None
 
     def numeric(self) -> complex:
         """Evaluation at the principal embedding zeta_m = exp(2*pi*i/m)."""
         z = cmath.exp(2j * cmath.pi / self.m)
         total = 0j
         power = 1 + 0j
-        for c in self.coeffs:
+        for c in self.nums:
             if c:
-                total += float(c) * power
+                total += c / self.den * power
             power *= z
         return total
 
@@ -235,14 +261,10 @@ def root_of_unity(m: int, k: int = 1) -> CycloNum:
     """The root of unity zeta_m^k."""
     if m < 1:
         raise ValueError("modulus must be a positive integer")
-    k %= m
-    vec = [Fraction(0)] * (k + 1)
-    vec[k] = Fraction(1)
-    return CycloNum(m, vec)
+    return CycloNum(m, [0] * (k % m) + [1])
 
 
 def from_exponent(q) -> CycloNum:
     """The root of unity with exponent q: exp(2*pi*i*q) for rational q."""
     q = Fraction(q)
-    q -= q.numerator // q.denominator  # reduce to [0, 1)
     return root_of_unity(q.denominator, q.numerator)

@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, inf, isqrt, log, log10, pi
+from math import exp, inf, isqrt, lcm, log, log10, pi
 from typing import Union
 
 import numpy as np
@@ -38,7 +38,7 @@ from .hecke_algebra import (HeckeElement, Monomial, alpha, identity,
                             mul_hecke, sigma_i_beta, theta)
 from .numberfield import (FieldCtx, _ideal_arrays, factor, kronecker_symbol,
                           make_ctx)
-from .pairing import CharacterPoint, pair, pair_exponent
+from .pairing import CharacterPoint, pair_exponent
 from .torsion import TorsionClass, denominator_element, unit_orbit
 
 __all__ = [
@@ -253,8 +253,8 @@ def zeta_k(ctx: FieldCtx, beta: Number, tol: float = 1e-7,
     |log local factor| <= C * p^(-beta)) plus float accumulation.
     """
     bf = float(beta)
-    if bf <= 1:
-        raise ValueError("zeta requires beta > 1")
+    if not 1 < bf < inf:  # NaN fails too
+        raise ValueError(f"zeta requires 1 < beta < inf, not {bf}")
     if not tol > 0:
         raise ValueError("zeta requires tol > 0")
     cb = 2.0 / (1.0 - 2.0 ** (-bf))  # |log factor_p| <= cb * p^(-beta)
@@ -300,11 +300,12 @@ def zeta_k(ctx: FieldCtx, beta: Number, tol: float = 1e-7,
 def phi_extreme_infty(r: TorsionClass, chi: CharacterPoint) -> CycloNum:
     """Ground-state value on theta_r: the exact average of the pairing
     over the unit orbit of r."""
-    orbit = sorted(unit_orbit(r))
-    total = CycloNum.zero()
-    for s in orbit:
-        total = total + pair(s, chi)
-    return total / len(orbit)
+    exps = [pair_exponent(s, chi) for s in unit_orbit(r)]
+    m = lcm(*(e.denominator for e in exps))
+    counts = [0] * m  # how often each zeta_m^k occurs
+    for e in exps:
+        counts[e.numerator * (m // e.denominator)] += 1
+    return CycloNum(m, counts, len(exps))
 
 
 @lru_cache(maxsize=None)
@@ -329,8 +330,8 @@ def phi_extreme_beta(r: TorsionClass, chi: CharacterPoint,
     sum collapses onto residue buckets indexed modulo N_c.
     """
     bf = float(params.beta)
-    if bf <= 1:
-        raise ValueError("extreme states at finite temperature need beta > 1")
+    if not 1 < bf < inf:  # NaN fails too
+        raise ValueError(f"extreme states need 1 < beta < inf, not {bf}")
     ctx = chi.ctx
     pair_exponent(r, chi)  # validates the level against denominator(r)
     m_mod = chi.level_norm

@@ -18,7 +18,7 @@ unit are the same group element.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .cyclotomic import CycloNum
@@ -207,11 +207,9 @@ def _min_lift_norm(g: SymmetryElem, m: int) -> int:
 def act_arithmetic(g: SymmetryElem, v: CycloNum) -> CycloNum:
     """Raise the roots of unity in v to the power N(t), where t is the
     smallest integral lift of j whose norm is invertible modulo the
-    cyclotomic modulus of v."""
-    m = v.m
-    if m == 1:
-        return v
-    return v.galois(_min_lift_norm(g, m) % m)
+    conductor of v, the modulus v is stored at; so equal values move
+    alike."""
+    return v.galois(_min_lift_norm(g, v.m) % v.m)
 
 
 def compare_actions(r: TorsionClass, chi: CharacterPoint,
@@ -229,11 +227,6 @@ def compare_actions(r: TorsionClass, chi: CharacterPoint,
         "arithmetic_value": arithmetic,
         "equal": geometric == arithmetic,
     }
-
-
-def _state_signature(values: list[CycloNum]):
-    big = lcm(*[v.m for v in values]) if values else 1
-    return tuple(tuple(v.promoted(big).coeffs) for v in values)
 
 
 def regularity_check(c: FieldElem) -> dict:
@@ -254,7 +247,7 @@ def regularity_check(c: FieldElem) -> dict:
     tuples = {}
     for w in units:
         chi = CharacterPoint.make(ctx, cc, w)
-        tuples[w] = _state_signature([phi_extreme_infty(r, chi) for r in pts])
+        tuples[w] = tuple(phi_extreme_infty(r, chi) for r in pts)
     extreme_classes = len(set(tuples.values()))
     counts_match = extreme_classes == order
     orbits_align = all(tuples[w] == tuples[rep_of[w]] for w in units)
@@ -269,18 +262,12 @@ def regularity_check(c: FieldElem) -> dict:
         for j in reps if j != one_rep
         for w in reps)
 
-    chi0 = CharacterPoint.make(ctx, cc, base)
-    transport_ok = True
-    for j in reps:
-        chij = chi0.twisted(j)
-        for r in pts:
-            lhs = phi_extreme_infty(r, chij)
-            rhs = phi_extreme_infty(torsion_class(j * r.rep), chi0)
-            if lhs != rhs:
-                transport_ok = False
-                break
-        if not transport_ok:
-            break
+    # both sides of phi(r, j*chi) = phi(j*r, chi) read from the table
+    index = {r: i for i, r in enumerate(pts)}
+    transport_ok = all(
+        tuples[reduce_mod(j * base, cc)][i]
+        == tuples[base][index[torsion_class(j * r.rep)]]
+        for j in reps for i, r in enumerate(pts))
 
     all_ok = (counts_match and orbits_align and transitive and free
               and transport_ok)

@@ -264,6 +264,45 @@ def test_criterion_8_galois_comparison():
                - (2 + 2 * math.cos(8 * math.pi / 5)) / 4) < 1e-12
 
 
+# (d, level, w, j, r) in coordinates on 1, w: for each imaginary field the
+# first triple, by level norm, whose two actions give different values
+_WITNESSES = (
+    (1, (3, 0), (0, 1), (1, 1), (0, "1/3")),
+    (2, (2, 0), (1, 0), (1, 1), ("1/2", 0)),
+    (3, (1, 3), (-2, 3), (-2, 5), ("1/13", "9/13")),
+    (7, (1, -2), (1, -1), (1, -1), ("1/7", "5/7")),
+    *((d, (2, 0), (0, 1), (0, 1), (0, "1/2")) for d in (11, 19, 43, 67, 163)),
+)
+
+
+def test_criterion_8_if_and_only_if():
+    """The two actions agree on every ground-state triple if and only if
+    K = Q: every triple over Q at levels of norm <= 30 is equal, and each
+    of the nine imaginary fields has an exact witness of inequality at a
+    level of norm <= 13."""
+    for k in range(1, 31):
+        c = Q.elem(k)
+        pts = torsion_points(c)
+        for w in level_group(c).reps:
+            chi = CharacterPoint.make(Q, c, w)
+            for g in group_elements(c):
+                for r in pts:
+                    assert compare_actions(r, chi, g)["equal"], (k, w, g, r)
+    assert len({d for d, *_ in _WITNESSES}) == 9
+    for d, level, w, j, r in _WITNESSES:
+        ctx = make_ctx(d)
+        el = lambda xy: ctx.elem(Fraction(xy[0]), Fraction(xy[1]))
+        c = el(level)
+        assert int(c.norm()) <= 13
+        rep = compare_actions(torsion_class(el(r)),
+                              CharacterPoint.make(ctx, c, el(w)),
+                              SymmetryElem.make(ctx, c, el(j)))
+        assert rep["equal"] is False, d
+        # unequal as complex numbers too, not only as stored forms
+        assert abs(rep["geometric_value"].numeric()
+                   - rep["arithmetic_value"].numeric()) > 1e-6, d
+
+
 def test_criterion_9_ground_state_limit():
     """|phi_(chi, beta) - phi_(chi, inf)| on theta_r decreases over
     beta in {5, 10, 20} (up to 1e-12 float noise) and is below 1e-4 at

@@ -6,6 +6,7 @@ the JSON is reparsed and compared against its float rendering.
 """
 import json
 import math
+import shlex
 import sys
 import tempfile
 from fractions import Fraction
@@ -231,6 +232,28 @@ def test_nonzero_exit_on_unsound_regularity_never_triggers_here():
     assert data["group_order"] == 1
 
 
+def test_readme_examples_byte_for_byte():
+    # every `$ hecke ...` example in README.md prints the JSON line shown
+    # under it; an elided value ({...}) pins only the keys shown beside it
+    lines = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    examples = [(line[len("$ hecke "):], lines[i + 1])
+                for i, line in enumerate(lines) if line.startswith("$ hecke ")]
+    assert len(examples) == 11
+    runner = CliRunner()
+    for cmd, want in examples:
+        res = runner.invoke(main, shlex.split(cmd))
+        assert res.exit_code == 0, (cmd, res.output)
+        if "{...}" not in want:
+            assert res.stdout == want + "\n", cmd
+            continue
+        shown, got = json.loads(want.replace("{...}", "null")), \
+            json.loads(res.stdout)
+        assert got.keys() == shown.keys(), cmd
+        assert {k: got[k] for k, v in shown.items() if v is not None} == \
+            {k: v for k, v in shown.items() if v is not None}, cmd
+
+
 def test_exit_codes_without_traceback():
     # exit 2 for malformed input, 1 for a domain failure, 0 for a large
     # but finite value, never an uncaught exception
@@ -252,6 +275,11 @@ def test_exit_codes_without_traceback():
         # a sweep that would check no pair is refused, not passed
         (["verify", "--level", "0"], 2),
         (["verify", "--level", "-3"], 2),
+        # beta outside (1, inf) has no Euler product and no finite cutoff
+        (["zeta", "--beta", "inf"], 1),
+        (["zeta", "--beta", "nan"], 1),
+        (["kms", "--extreme", "--level", "5", "--bound", "10", "--beta",
+          "nan", "--r", "(1)/(5)"], 1),
     ]
     runner = CliRunner()
     for args, code in cases:
@@ -259,6 +287,8 @@ def test_exit_codes_without_traceback():
         assert res.exit_code == code, (args, res.output)
         assert res.exception is None or isinstance(res.exception,
                                                    SystemExit), args
+        if "nan" in args or args[:3] == ["zeta", "--beta", "inf"]:
+            assert "1 < beta < inf" in res.output, args
     # an exact value too long to print names the limit it exceeds
     res = runner.invoke(main, ["kms", "--beta", "20000", "--r", "(1)/(2)"])
     assert str(sys.get_int_max_str_digits()) in res.output

@@ -11,8 +11,10 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hecke.cyclotomic
 from hecke.cyclotomic import (CycloNum, _reduction_tail, from_exponent,
@@ -99,6 +101,69 @@ def test_arithmetic_matches_embedding_on_random_values():
                          (a - b, embed(a) - embed(b)),
                          (a * b, embed(a) * embed(b))]:
             assert abs(sym.numeric() - num) < 1e-10
+
+
+_term = st.tuples(st.integers(-6, 6), st.integers(1, 6), st.integers(0, 59))
+
+
+@st.composite
+def _operands(draw):
+    # two rational combinations of zeta_m^k, m <= 60, at moduli whose lcm
+    # stays small enough for quick reduction
+    ma = draw(st.integers(1, 60))
+    mb = draw(st.sampled_from([m for m in range(1, 61) if lcm(ma, m) <= 420]))
+    return [(m, draw(st.lists(_term, max_size=4))) for m in (ma, mb)]
+
+
+def _combination(m, terms):
+    v, want = CycloNum.zero(), 0j
+    for num, den, k in terms:
+        v = v + Fraction(num, den) * root_of_unity(m, k)
+        want += num / den * cmath.exp(2j * cmath.pi * k / m)
+    return v, want
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def _triple(v):
+    return v.m, v.nums, v.den
+
+
+def _canonical(v, want):
+    """v is stored in lowest terms at its conductor and has value want."""
+    m = v.m
+    assert v.den > 0 and gcd(v.den, *v.nums) == 1
+    assert len(v.nums) == len(_reduction_tail(m)) and m % 4 != 2
+    for p in {p for p in range(2, m + 1) if m % p == 0
+              and all(p % q for q in range(2, p))}:
+        # some automorphism fixing the field of (m/p)-th roots moves v
+        ks = [1 + t * (m // p) for t in range(p)]
+        assert any(v.galois(k) != v for k in ks if gcd(k, m) == 1), (v, p)
+    if m == 1:
+        q = v.as_rational()
+        assert v == q and hash(v) == hash(q)
+    assert _close(v.numeric(), want) and _close(embed(v), want)
+    return v
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_operands(), st.integers(2, 4))
+def test_core_against_complex_embedding(operands, t):
+    (x, wx), (y, wy) = (_combination(*o) for o in operands)
+    for v, want in [(x, wx), (y, wy), (x + y, wx + wy), (x - y, wx - wy),
+                    (x * y, wx * wy), (-x, -wx)]:
+        _canonical(v, want)
+    # equal values, however reached, have equal triples and hashes
+    for a, b in [((x + y) - y, x), (x * y, y * x),
+                 ((x + y) * y, x * y + y * y)]:
+        assert a == b and _triple(a) == _triple(b) and hash(a) == hash(b)
+    # the same value written at a multiple of its conductor
+    lifted = [0] * (t * x.m)
+    lifted[:t * len(x.nums):t] = x.nums
+    assert _triple(CycloNum(t * x.m, lifted, x.den)) == _triple(x)
+    assert _triple(CycloNum(x.m, [-c for c in x.nums], -x.den)) == _triple(x)
 
 
 def test_galois_action():
@@ -198,8 +263,16 @@ def test_library_runs_without_sympy():
     assert res.returncode == 0, res.stderr
 
 
+def test_stored_at_the_conductor():
+    # a rational value built at modulus 6 is stored at 1, so it prints
+    # and hashes like the rational it is
+    half = CycloNum(6, [Fraction(1, 2), 0])
+    assert (half.m, half.coeffs) == (1, (Fraction(1, 2),))
+    assert hash(half) == hash(Fraction(1, 2))
+    assert {root_of_unity(10, 2): 0}[root_of_unity(5)] == 0
+    assert root_of_unity(12, 3).m == 4 and root_of_unity(6).m == 3
+
+
 def test_promotion_validation():
-    with pytest.raises(ValueError):
-        root_of_unity(4).promoted(6)
     with pytest.raises(ValueError):
         CycloNum(0, [1])

@@ -249,6 +249,14 @@ def test_zeta_monotone_in_beta_and_errors():
         zeta_k(Q, 1)
     with pytest.raises(ValueError):
         zeta_k(Q, 1.0000001)  # the prime-bound formula overflows
+    # no prime cutoff serves beta = inf, and NaN fails every comparison
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="1 < beta < inf"):
+            zeta_k(Q, beta)
+        chi = CharacterPoint.make(GAUSS, 5, 1)
+        with pytest.raises(ValueError, match="1 < beta < inf"):
+            phi_extreme_beta(torsion_class(GAUSS.elem(Fraction(1, 5))), chi,
+                             KmsParams(beta=beta, bound=10))
     for tol in (0.0, -1e-7):
         with pytest.raises(ValueError):
             zeta_k(Q, 2, tol=tol)

@@ -109,6 +109,15 @@ def test_arithmetic_action_norm_examples():
     assert act_arithmetic(SymmetryElem.make(GAUSS, 5, 2), v) == v
 
 
+def test_arithmetic_action_depends_on_the_value_alone():
+    # zeta_10^2 and zeta_5 are one value, so every symmetry moves them
+    # alike; read at modulus 10 the lift search could pick another norm
+    c = GAUSS.elem(1) + 4 * GAUSS.omega
+    for g in group_elements(c):
+        assert act_arithmetic(g, root_of_unity(10, 2)) == \
+            act_arithmetic(g, root_of_unity(5))
+
+
 def test_arithmetic_action_lift_independence_at_rational_level():
     # at a rational level c with m | c every admissible lift has the
     # same norm mod m, so the exponent cannot depend on the search
