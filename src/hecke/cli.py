@@ -13,7 +13,8 @@ the command's click default map: each value is converted and checked by
 its option's type like the flag (exit 2 when malformed), a required
 option may come from the file, and explicit flags win.  The environment
 variable HECKE_LEVEL_MAX caps the level, level norm or series bound of
-every enumeration-heavy command as a safety valve.
+every enumeration-heavy command as a safety valve.  Without it, regularity
+refuses a level norm above 200 (exit 2).
 """
 from __future__ import annotations
 
@@ -122,8 +123,8 @@ _config_option = click.option(
     help="key=value file of option defaults; explicit flags win")
 
 
-def _level_guard(norm: int) -> None:
-    cap = os.environ.get("HECKE_LEVEL_MAX")
+def _level_guard(norm: int, default: int | None = None) -> None:
+    cap = os.environ.get("HECKE_LEVEL_MAX", default)
     if cap is None:
         return
     try:
@@ -132,8 +133,8 @@ def _level_guard(norm: int) -> None:
         raise click.UsageError(f"HECKE_LEVEL_MAX={cap!r} is not an integer")
     if norm > capval:
         raise click.UsageError(
-            f"requested enumeration size {norm} exceeds HECKE_LEVEL_MAX="
-            f"{capval}")
+            f"requested enumeration size {norm} exceeds the cap {capval}; "
+            "set HECKE_LEVEL_MAX to change it")
 
 
 _FACTOR_RE = re.compile(
@@ -383,7 +384,8 @@ def regularity_cmd(field_tag: str, level: str) -> None:
     ctx = _field(field_tag)
     try:
         lvl = canonical_generator(_elem(ctx, level))
-        _level_guard(int(lvl.norm()))
+        # default cap: level norm 449 takes 75 s and 740 MB (2-core VM)
+        _level_guard(int(lvl.norm()), 200)
         rep = regularity_check(lvl)
     except ValueError as exc:
         raise click.ClickException(str(exc))

@@ -15,22 +15,25 @@ defining relations are:
 
 together with the derived rule theta_r mu_a = mu_a theta_{ar}.  Products
 of monomials are rewritten back into the basis with exact rational
-coefficients; no floating point enters anywhere.
+coefficients; no floating point enters anywhere.  Inside a product the
+commutative theta part is carried as integer numerators over one common
+denominator, and one Fraction is built per output monomial.
 
 Monomial labels are redundant: M(a, r, b) = M(c, s, d) exactly when
 a = c, b = d (as canonical generators with gcd(a, b) = 1) and r = w*s
 modulo (1/(ab))O for some unit w.  Canonicalization picks the minimal
 representative of that class, so equality of monomials is equality of
-stored triples.  Canonical labels are memoized, keyed by the integer
-triples of the label, in a bounded cache.
+stored triples.  Canonical labels and the range projections
+mu_g mu_g^* are memoized, keyed by integer triples, in bounded caches.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .numberfield import (FieldCtx, FieldElem, canonical_generator,
-                          divide_exact, gcd_gen, make_ctx, residues)
+from .numberfield import (FieldCtx, FieldElem, _numerators,
+                          canonical_generator, divide_exact, gcd_gen,
+                          make_ctx, residues)
 from .torsion import TorsionClass, orbit_canonical, reduce01, torsion_class
 
 __all__ = [
@@ -135,7 +138,7 @@ class Monomial:
     @property
     def level(self) -> int:
         """Product of the two slot norms; bounds the support size."""
-        return int(self.a.norm() * self.b.norm())
+        return self.a.norm() * self.b.norm()
 
     @property
     def is_theta_type(self) -> bool:
@@ -152,40 +155,48 @@ class Monomial:
 
 
 # ---------------------------------------------------------------------------
-# the commutative theta part, as plain dicts {orbit class: coefficient}
+# the commutative theta part, as integer numerators over one denominator:
+# (den, {orbit class: numerator})
 
 
-def _theta_dict(r: TorsionClass) -> dict:
-    return {orbit_canonical(r): Fraction(1)}
+def _theta_dict(r: TorsionClass) -> tuple:
+    return 1, {orbit_canonical(r): 1}
 
 
-def _theta_dict_mul(ctx: FieldCtx, F: dict, G: dict) -> dict:
+def _theta_dict_mul(ctx: FieldCtx, F: tuple, G: tuple) -> tuple:
     # theta_r theta_s = (1/|units|) sum_w theta_{r + w s}, the unit-pair
     # average collapsed along the overall unit scaling
     units = ctx.units
-    scale = Fraction(1, len(units))
+    rotated = [([t2.scaled(w) for w in units], n2) for t2, n2 in G[1].items()]
     out: dict = {}
-    for t1, q1 in F.items():
-        for t2, q2 in G.items():
-            q = q1 * q2 * scale
-            for w in units:
-                k = orbit_canonical(t1 + t2.scaled(w))
-                out[k] = out.get(k, 0) + q
-    return {k: v for k, v in out.items() if v}
+    get = out.get
+    for t1, n1 in F[1].items():
+        for ts, n2 in rotated:
+            n = n1 * n2
+            for t2 in ts:
+                k = orbit_canonical(t1 + t2)
+                out[k] = get(k, 0) + n
+    return F[0] * G[0] * len(units), {k: v for k, v in out.items() if v}
 
 
-def _alpha_dict(ctx: FieldCtx, a: FieldElem, F: dict) -> dict:
+def _alpha_dict(ctx: FieldCtx, a: FieldElem, F: tuple) -> tuple:
     # alpha_a(theta_t) = (1/N_a) sum_{x mod a} theta_{(t+x)/a}
     if a.is_unit:
-        return dict(F)
-    n = int(a.norm())
+        return F
     out: dict = {}
-    for t, q in F.items():
-        qq = q / n
+    for t, n in F[1].items():
         for x in residues(a):
             k = orbit_canonical(torsion_class((t.rep + x) / a))
-            out[k] = out.get(k, 0) + qq
-    return {k: v for k, v in out.items() if v}
+            out[k] = out.get(k, 0) + n
+    return F[0] * a.norm(), {k: v for k, v in out.items() if v}
+
+
+@lru_cache(maxsize=1 << 12)
+def _range_projection(d: int, g0: int, g1: int) -> tuple:
+    """mu_g mu_g^* = alpha_g(theta_0), g = g0 + g1*omega; shared, read only."""
+    ctx = make_ctx(d)
+    return _alpha_dict(ctx, FieldElem(ctx, g0, g1, 1),
+                       _theta_dict(torsion_class(ctx.zero)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +213,8 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> dict:
     theta_t -> theta_{(a d1) t}, and resolve the remaining shape
     mu_P H mu_Q^* through relation (III).  Coprimality of P and Q makes
     every branch of (III) land in one monomial class, with total
-    coefficient one.
+    coefficient one.  H is integer numerators over one denominator, so
+    one Fraction is built per output monomial.
     """
     ctx = m1.ctx
     a, r, b = m1.a, m1.r, m1.b
@@ -213,10 +225,9 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> dict:
     c1 = _canon_div(c, g)
 
     H = _theta_dict(r.scaled(b1))
-    # mu_g mu_g^* = alpha_g(theta_0)
-    H = _theta_dict_mul(
-        ctx, H, _alpha_dict(ctx, g, _theta_dict(torsion_class(ctx.zero))))
-    H = _theta_dict_mul(ctx, H, _theta_dict(s.scaled(c1)))
+    if not g.is_unit:
+        H = _theta_dict_mul(ctx, H, _range_projection(ctx.d, g.e0, g.e1))
+    den, H = _theta_dict_mul(ctx, H, _theta_dict(s.scaled(c1)))
 
     E = canonical_generator(a * c1)
     h = gcd_gen(E, d)
@@ -228,11 +239,11 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> dict:
     mult = a * d1
     PQ = canonical_generator(P * Q)
     out: dict = {}
-    for t, q in H.items():
+    for t, n in H.items():
         label = torsion_class(t.scaled(mult).rep / PQ)
         m = Monomial.make(ctx, Q, label, P)
-        out[m] = out.get(m, 0) + q
-    return {k: v for k, v in out.items() if v}
+        out[m] = out.get(m, 0) + n
+    return {k: Fraction(v, den) for k, v in out.items() if v}
 
 
 class HeckeElement:
@@ -366,26 +377,27 @@ def theta_product(r, s) -> HeckeElement:
     if isinstance(s, FieldElem):
         s = torsion_class(s)
     ctx = r.ctx
-    H = _theta_dict_mul(ctx, _theta_dict(r), _theta_dict(s))
-    return _from_theta_dict(ctx, H)
+    return _from_theta_dict(
+        ctx, _theta_dict_mul(ctx, _theta_dict(r), _theta_dict(s)))
 
 
-def _from_theta_dict(ctx: FieldCtx, F: dict) -> HeckeElement:
+def _from_theta_dict(ctx: FieldCtx, H: tuple) -> HeckeElement:
+    den, F = H
     out = {}
-    for t, q in F.items():
+    for t, n in F.items():
         m = Monomial.make(ctx, ctx.one, t, ctx.one)
-        out[m] = out.get(m, 0) + q
-    return HeckeElement(ctx, out)
+        out[m] = out.get(m, 0) + n
+    return HeckeElement(ctx, {m: Fraction(n, den) for m, n in out.items()})
 
 
-def _to_theta_dict(x: HeckeElement) -> dict:
+def _to_theta_dict(x: HeckeElement) -> tuple:
     if not x.is_theta_type:
         raise ValueError("element lies outside the theta part")
     out: dict = {}
     for m, q in x.terms.items():
         k = orbit_canonical(m.r)
         out[k] = out.get(k, 0) + q
-    return out
+    return _numerators(out)
 
 
 def alpha(a: FieldElem, x: HeckeElement) -> HeckeElement:
@@ -403,12 +415,12 @@ def beta_endo(a: FieldElem, x: HeckeElement) -> HeckeElement:
     of alpha_a on the theta part."""
     if not (a.is_integral and not a.is_zero):
         raise ValueError("beta index must be a nonzero integral element")
-    F = _to_theta_dict(x)
+    den, F = _to_theta_dict(x)
     out: dict = {}
-    for t, q in F.items():
+    for t, n in F.items():
         k = orbit_canonical(t.scaled(a))
-        out[k] = out.get(k, 0) + q
-    return _from_theta_dict(x.ctx, out)
+        out[k] = out.get(k, 0) + n
+    return _from_theta_dict(x.ctx, (den, out))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +430,7 @@ def beta_endo(a: FieldElem, x: HeckeElement) -> HeckeElement:
 def dynamics_weight(m: Monomial) -> Fraction:
     """The scaling N_b/N_a; the time evolution acts on M(a, r, b) by
     (N_b/N_a)^{it}."""
-    return Fraction(int(m.b.norm()), int(m.a.norm()))
+    return Fraction(m.b.norm(), m.a.norm())
 
 
 def sigma_i_beta(x: HeckeElement, beta: int) -> HeckeElement:

@@ -139,6 +139,14 @@ def kronecker_symbol(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+def _numerators(data: dict) -> tuple[int, dict]:
+    """The common denominator of the Fraction values of `data` and the
+    integer numerators over it."""
+    den = lcm(*(v.denominator for v in data.values()))
+    return den, {k: v.numerator * (den // v.denominator)
+                 for k, v in data.items()}
+
+
 # ---------------------------------------------------------------------------
 # field contexts
 
@@ -378,9 +386,14 @@ class FieldElem:
         return Fraction(e0 * e0 + self.ctx.t * e0 * e1 + self.ctx.n * e1 * e1,
                         q * q)
 
-    def norm(self) -> Fraction:
-        """The absolute norm |N_{K/Q}|; for integral x this is |O/xO|."""
-        return abs(self.field_norm())
+    def norm(self) -> int | Fraction:
+        """|N_{K/Q}|: the int |O/xO| for integral x, else a Fraction."""
+        if self.q != 1:
+            return abs(self.field_norm())
+        ctx, e0, e1 = self.ctx, self.e0, self.e1
+        if ctx.is_rational:
+            return abs(e0)
+        return e0 * e0 + ctx.t * e0 * e1 + ctx.n * e1 * e1
 
     def trace(self) -> Fraction:
         if self.ctx.is_rational:
@@ -505,8 +518,7 @@ class PrincipalIdeal:
         if x.is_zero:
             raise ValueError("zero ideal not supported")
         g = canonical_generator(x)
-        nrm = g.norm()
-        return PrincipalIdeal(g, int(nrm) if g.is_integral else nrm)
+        return PrincipalIdeal(g, g.norm())
 
     @property
     def ctx(self) -> FieldCtx:
@@ -558,8 +570,7 @@ def residues(a: FieldElem) -> tuple[FieldElem, ...]:
         raise ValueError("residues require a nonzero integral element")
     ctx = a.ctx
     if ctx.is_rational:
-        m = int(a.norm())
-        return tuple(ctx.elem(k) for k in range(m))
+        return tuple(ctx.elem(k) for k in range(a.norm()))
     cols = [(g.e0, g.e1) for g in (a, a * ctx.omega)]
     h_a, _, h_c = _hnf_pair(cols)
     return tuple(reduce_mod(ctx.elem(i, j), a)
@@ -667,14 +678,15 @@ def elements_of_norm(ctx: FieldCtx, m: int) -> list[FieldElem]:
     return _norm_form_solutions(ctx.one, ctx.omega, m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def gcd_gen(a: FieldElem, b: FieldElem) -> FieldElem:
     """Canonical generator of the ideal aO + bO (inputs integral).
 
-    The ideal is realized as the Z-lattice spanned by a, a*omega, b,
-    b*omega; its index in O is computed from a Hermite basis and a
-    generator is found by searching the lattice for an element of that
-    norm.  Class number one guarantees the search succeeds.
+    The norm of aO + bO divides N(a) and N(b), so coprime norms give 1.
+    Otherwise the ideal is realized as the Z-lattice spanned by a,
+    a*omega, b, b*omega; its index in O is computed from a Hermite basis
+    and a generator is found by searching the lattice for an element of
+    that norm.  Class number one guarantees the search succeeds.
     """
     if not (a.is_integral and b.is_integral):
         raise ValueError("gcd requires integral elements")
@@ -687,6 +699,8 @@ def gcd_gen(a: FieldElem, b: FieldElem) -> FieldElem:
     ctx = a.ctx
     if ctx.is_rational:
         return ctx.elem(_int_gcd(a.e0, b.e0))
+    if _int_gcd(a.norm(), b.norm()) == 1:
+        return ctx.one
     gens = [a, a * ctx.omega, b, b * ctx.omega]
     cols = [(g.e0, g.e1) for g in gens]
     h_a, h_b, h_c = _hnf_pair(cols)
@@ -743,7 +757,7 @@ def factor(a: FieldElem) -> list[tuple[PrincipalIdeal, int]]:
     """
     if a.is_zero or not a.is_integral:
         raise ValueError("factor requires a nonzero integral element")
-    n = int(a.norm())
+    n = a.norm()
     if n == 1:
         return []
     out = []

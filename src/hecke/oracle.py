@@ -21,7 +21,10 @@ convolution groups each operand's support by scaling part, so the
 canonical generator of x1*x2*O and its inverse are found once per pair
 of scaling parts; each product coset is then keyed by integer
 arithmetic on the translation parts alone, and values are summed as
-integer numerators over one common denominator.  The arithmetic is the
+integer numerators over one common denominator.  verify_equivalence
+stays on integers for each pair: it convolves the numerators of the two
+monomial images, computed once per monomial, and compares them with the
+engine's product scaled to the same denominator.  The arithmetic is the
 shared exact core of hecke.numberfield; what keeps the oracle
 independent of the rewrite engine is the coset model, not the field
 arithmetic.
@@ -34,9 +37,9 @@ from math import gcd, isqrt, lcm
 
 from .errors import LevelOverflowError
 from .hecke_algebra import HeckeElement, Monomial, _mul_monomials
-from .numberfield import (FieldCtx, FieldElem, canonical_generator,
-                          frac_ideal_parts, gcd_gen, ideals_up_to,
-                          residues)
+from .numberfield import (FieldCtx, FieldElem, _numerators,
+                          canonical_generator, frac_ideal_parts, gcd_gen,
+                          ideals_up_to, lattice_index, residues)
 from .torsion import TorsionClass, stabilizer_index, torsion_class
 
 __all__ = [
@@ -100,6 +103,18 @@ def in_subgroup(g: GroupElem) -> bool:
 # interned right-coset keys, one universe per field
 
 
+def _ideal_norms(x: FieldElem) -> tuple[int, int]:
+    """The norms of the coprime integral ideals num and den with
+    xO = (num/den)O: N(den) = [O + xO : O] and N(num) = N(x) N(den)."""
+    ctx, q = x.ctx, x.q
+    v = FieldElem(ctx, x.e0, x.e1, 1)  # q*x
+    if ctx.is_rational or q == 1:
+        return v.norm(), q
+    den = q * q // lattice_index([ctx.elem(q), ctx.elem(0, q), v,
+                                  v * ctx.omega])
+    return v.norm() * den // (q * q), den
+
+
 class _Universe:
     """Interning table for right-coset keys of one field.
 
@@ -137,9 +152,7 @@ class _Universe:
         yr = xc * FieldElem(self.ctx, *cls)
         idx = len(self.reps)
         self.reps.append(GroupElem(yr, xc))
-        num, den = frac_ideal_parts(xc)
-        ylev = 1 if yr.is_integral else int(frac_ideal_parts(yr)[1].norm())
-        self.levels.append(max(int(num.norm()), int(den.norm()), ylev))
+        self.levels.append(max(*_ideal_norms(xc), _ideal_norms(yr)[1]))
         return idx
 
     def _class_id(self, tab: dict, xc: FieldElem, z: FieldElem) -> int:
@@ -199,15 +212,11 @@ class CosetFunction:
         self.level = level
         self.data = {}
         if data:
-            uni = _universe(ctx)
             for i, q in data.items():
                 q = Fraction(q)
-                if not q:
-                    continue
-                if uni.levels[i] > level:
-                    raise LevelOverflowError(
-                        f"coset {uni.reps[i]!r} exceeds level {level}")
-                self.data[i] = q
+                if q:
+                    self.data[i] = q
+            _check_levels(_universe(ctx), self.data, level)
 
     def value_at(self, g: GroupElem) -> Fraction:
         """The value on the right coset of g."""
@@ -250,14 +259,6 @@ class CosetFunction:
         return "{" + ", ".join(bits) + "}"
 
 
-def _numerators(data: dict) -> tuple[int, dict]:
-    """The common denominator of the values of `data` and the integer
-    numerators over it."""
-    den = lcm(*(v.denominator for v in data.values()))
-    return den, {i: v.numerator * (den // v.denominator)
-                 for i, v in data.items()}
-
-
 def _scaled_runs(uni: _Universe, nums: dict) -> list:
     """The support of `nums` cut into runs of consecutive cosets with one
     scaling part, as [(x, [(y, numerator)])]."""
@@ -288,16 +289,15 @@ def _pair_plan(uni: _Universe, x1: FieldElem, x2: FieldElem,
     return x2 * inv, xc, tab, ws
 
 
-def _convolve_data(uni: _Universe, d1: dict, d2: dict) -> dict:
-    """The pair of support cosets (y1, x1) of d1 and (y2, x2) of d2
-    contributes d1 * d2 on the coset of (y2 + y1*x2, x1*x2), keyed by xc
-    and the class of (y2 + y1*x2)/xc modulo O.
+def _convolve_nums(uni: _Universe, nums1: dict, nums2: dict) -> dict:
+    """The convolution of integer numerators on cosets.  The pair of
+    support cosets (y1, x1) and (y2, x2) contributes n1 * n2 on the coset
+    of (y2 + y1*x2, x1*x2), keyed by xc and the class of (y2 + y1*x2)/xc
+    modulo O.  Zero sums are dropped.
 
-    The pairs are met in the order of d1 by d2, so cosets are interned
-    in the same order as by one prod_id call per pair.
+    The pairs are met in the order of nums1 by nums2, so cosets are
+    interned in the same order as by one prod_id call per pair.
     """
-    den1, nums1 = _numerators(d1)
-    den2, nums2 = _numerators(d2)
     runs = _scaled_runs(uni, nums2)
     reps = uni.reps
     intern = uni.intern
@@ -326,8 +326,22 @@ def _convolve_data(uni: _Universe, d1: dict, d2: dict) -> dict:
                 if k is None:
                     k = tab[cls] = intern(xc, cls)
                 out[k] = get(k, 0) + n1 * n2
-    den = den1 * den2
-    return {k: Fraction(v, den) for k, v in out.items() if v}
+    return {k: v for k, v in out.items() if v}
+
+
+def _convolve_data(uni: _Universe, d1: dict, d2: dict) -> dict:
+    """_convolve_nums on Fraction values."""
+    (den1, nums1), (den2, nums2) = _numerators(d1), _numerators(d2)
+    out = _convolve_nums(uni, nums1, nums2)
+    return {k: Fraction(v, den1 * den2) for k, v in out.items()}
+
+
+def _check_levels(uni: _Universe, keys, level: int) -> None:
+    levels = uni.levels
+    for i in keys:
+        if levels[i] > level:
+            raise LevelOverflowError(
+                f"coset {uni.reps[i]!r} exceeds level {level}")
 
 
 def convolve(f: CosetFunction, g: CosetFunction) -> CosetFunction:
@@ -340,11 +354,7 @@ def convolve(f: CosetFunction, g: CosetFunction) -> CosetFunction:
     uni = _universe(f.ctx)
     data = _convolve_data(uni, f.data, g.data)
     level = max(f.level, g.level)
-    levels = uni.levels
-    for i in data:
-        if levels[i] > level:
-            raise LevelOverflowError(
-                f"coset {uni.reps[i]!r} exceeds level {level}")
+    _check_levels(uni, data, level)
     out = CosetFunction(f.ctx)
     out.level = level
     out.data = data
@@ -399,7 +409,7 @@ def _count_R_formula(gamma: GroupElem) -> int:
     # first factor is the unit-orbit size of the class of y*q.
     num, den = frac_ideal_parts(gamma.x)
     orbit = stabilizer_index(torsion_class(gamma.y * den))
-    return orbit * int(num.norm())
+    return orbit * num.norm()
 
 
 def count_R(gamma: GroupElem) -> int:
@@ -564,15 +574,12 @@ def _product_scale(m1: Monomial, m2: Monomial, prod: dict) -> int:
     g = gcd_gen(m1.b, m2.a)
     c1 = m2.a / g
     h = gcd_gen(canonical_generator(m1.a * c1), m2.b)
-    kappa = int(g.norm() * h.norm())
+    kappa = g.norm() * h.norm()
 
-    some = next(iter(prod))
-    num = (m1.a.norm() * m1.b.norm() * m2.a.norm() * m2.b.norm())
-    den = some.a.norm() * some.b.norm()
-    ratio = Fraction(int(num), int(den))
-    assert ratio.denominator == 1
-    root = isqrt(int(ratio))
-    assert root * root == int(ratio), "norm ratio is not a perfect square"
+    ratio, rem = divmod(m1.level * m2.level, next(iter(prod)).level)
+    assert not rem
+    root = isqrt(ratio)
+    assert root * root == ratio, "norm ratio is not a perfect square"
     assert root == kappa, f"scale mismatch: {root} vs {kappa}"
     return kappa
 
@@ -590,16 +597,19 @@ def verify_equivalence(ctx: FieldCtx, bound: int,
     mons = enumerate_monomials(ctx, bound)
     report = {"field": ctx.tag, "bound": bound, "monomials": len(mons),
               "checked": 0, "failed": 0, "failures": []}
-    phis = {m: _phi(m, level) for m in mons}
-    images: dict = {}
+    uni = _universe(ctx)
+    images = {m: _numerators(_phi(m, level).data) for m in mons}
     for m1 in mons:
-        f1 = phis[m1]
+        den1, nums1 = images[m1]
         for m2 in mons:
             report["checked"] += 1
+            den2, nums2 = images[m2]
             try:
                 prod = _mul_monomials(m1, m2)
                 kappa = _product_scale(m1, m2, prod)
-                got = convolve(f1, phis[m2]).data
+                # the convolution, as integers over den1 * den2
+                got = _convolve_nums(uni, nums1, nums2)
+                _check_levels(uni, got, level)
                 # kappa * sum of q * Phi(m), as integers over one denominator
                 parts = []
                 den = 1
@@ -617,9 +627,10 @@ def verify_equivalence(ctx: FieldCtx, bound: int,
                     s = a * (den // b)
                     for i, n in nums.items():
                         want[i] = want.get(i, 0) + s * n
+                den12 = den1 * den2
                 ok = (len(got) == sum(1 for w in want.values() if w)
-                      and all(want.get(i, 0) * v.denominator
-                              == v.numerator * den for i, v in got.items()))
+                      and all(want.get(i, 0) * den12 == v * den
+                              for i, v in got.items()))
                 detail = "" if ok else "support or value mismatch"
             except AssertionError as exc:
                 ok, detail = False, str(exc)

@@ -43,9 +43,11 @@ def test_criterion_1_engine_matches_convolution_oracle():
 
 
 def test_criterion_1_in_more_fields():
-    """The same pairwise sweep over Q(sqrt(-2)) and Q(sqrt(-7)) at norms
-    <= 6 and over Q(sqrt(-3)), with six units, at norms <= 8."""
-    for d, bound in ((2, 6), (7, 6), (3, 8)):
+    """The same pairwise sweep over Q(sqrt(-2)), Q(sqrt(-7)) and
+    Q(sqrt(-19)) at norms <= 6, over Q(sqrt(-3)), with six units, at norms
+    <= 8, and over Q(sqrt(-11)) at norms <= 4 (48 monomials; at 5, where
+    5 splits, there are 220)."""
+    for d, bound in ((2, 6), (7, 6), (19, 6), (3, 8), (11, 4)):
         report = verify_equivalence(make_ctx(d), bound)
         assert report["failed"] == 0, report["failures"][:3]
         assert report["checked"] == report["monomials"] ** 2

@@ -209,6 +209,14 @@ def test_level_cap_env():
     data = run_ok("verify", "--field", "Q", "--level", "3",
                   env={"HECKE_LEVEL_MAX": "5"})
     assert data["failures"] == []
+    # regularity has a default cap of level norm 200; a set cap governs
+    # instead of it.  N(41) = 1681 in Q(sqrt(-163)).
+    args = ("regularity", "--field", "d163", "--level", "41")
+    res = run_fail(*args, env={"HECKE_LEVEL_MAX": None})
+    assert res.exit_code == 2 and "HECKE_LEVEL_MAX" in res.output
+    assert "200" in res.output
+    res = run_fail(*args, env={"HECKE_LEVEL_MAX": "1000"})
+    assert res.exit_code == 2 and "cap 1000" in res.output
 
 
 def test_usage_and_domain_errors():

@@ -11,11 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from hecke.hecke_algebra import (HeckeElement, Monomial, _canonical_label,
-                                 alpha, beta_endo, dynamics_weight, identity,
-                                 mu, sigma_i_beta, theta, theta_product)
+from hecke.hecke_algebra import (HeckeElement, Monomial, _alpha_dict,
+                                 _canonical_label, _range_projection,
+                                 _theta_dict_mul, alpha, beta_endo,
+                                 dynamics_weight, identity, mu, sigma_i_beta,
+                                 theta, theta_product)
 from hecke.numberfield import SUPPORTED_D, ideals_up_to, make_ctx, residues
-from hecke.torsion import torsion_class
+from hecke.torsion import orbit_canonical, torsion_class
 
 
 def q0():
@@ -233,6 +235,63 @@ def test_range_projection_and_coprime_commutation():
     assert left == right
     # with a common factor the order matters
     assert mu(two).adjoint() * mu(two * three) == mu(three)
+
+
+def _ref_theta_mul(ctx, F, G):
+    # relation (II.3) on {orbit class: Fraction}
+    out = {}
+    for t1, q1 in F.items():
+        for t2, q2 in G.items():
+            for w in ctx.units:
+                k = orbit_canonical(t1 + t2.scaled(w))
+                out[k] = out.get(k, 0) + q1 * q2 / len(ctx.units)
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_alpha(ctx, a, F):
+    # relation (III) on {orbit class: Fraction}
+    out = {}
+    for t, q in F.items():
+        for x in residues(a):
+            k = orbit_canonical(torsion_class((t.rep + x) / a))
+            out[k] = out.get(k, 0) + q / a.norm()
+    return {k: v for k, v in out.items() if v}
+
+
+def _fractions(part):
+    den, nums = part
+    return {k: Fraction(n, den) for k, n in nums.items()}
+
+
+def test_integer_theta_part_matches_fraction_reference():
+    rng = random.Random(23)
+    for d in (0, 1, 3):
+        ctx = make_ctx(d)
+        gens = [i.gen for i in ideals_up_to(ctx, 12)]
+        non_units = [g for g in gens if not g.is_unit]
+
+        def rand_part(size):
+            # numerators of both signs, so that some sums cancel
+            nums = {}
+            for _ in range(size):
+                f = rng.choice(gens)
+                t = torsion_class(rng.choice(residues(f)) / f)
+                nums[orbit_canonical(t)] = rng.choice((-3, -2, -1, 1, 2, 3))
+            return rng.randint(1, 6), nums
+
+        for _ in range(25):
+            F, G = rand_part(3), rand_part(2)
+            assert (_fractions(_theta_dict_mul(ctx, F, G))
+                    == _ref_theta_mul(ctx, _fractions(F), _fractions(G)))
+            g = rng.choice(non_units)
+            assert (_fractions(_alpha_dict(ctx, g, F))
+                    == _ref_alpha(ctx, g, _fractions(F)))
+        zero = {orbit_canonical(torsion_class(ctx.zero)): Fraction(1)}
+        for g in non_units:
+            got = _range_projection(ctx.d, g.e0, g.e1)
+            assert _fractions(got) == _ref_alpha(ctx, g, zero)
+            assert _range_projection(ctx.d, g.e0, g.e1) is got
+    assert _range_projection.cache_info().maxsize is not None
 
 
 def _random_monomial(rng, ctx):

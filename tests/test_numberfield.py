@@ -180,6 +180,20 @@ def test_core_against_complex_embedding(d, tx, ty, ta):
         f = m / a
         assert 0 <= f.c0 < 1 and 0 <= f.c1 < 1
         assert reduce_mod(m, a) == m
+    # integral elements have int norms, others Fraction norms
+    z, w = FieldElem(ctx, x.e0, x.e1, 1), FieldElem(ctx, y.e0, y.e1, 1)
+    for v in (z, w, a):
+        assert type(v.norm()) is int and v.norm() == abs(v.field_norm())
+    if x.q != 1:
+        assert type(x.norm()) is Fraction and x.norm() == abs(x.field_norm())
+    # a memo hit returns the generator computed fresh, of the right norm
+    if not (z.is_zero or w.is_zero):
+        g = gcd_gen(z, w)
+        assert gcd_gen(z, w) is g
+        assert g == gcd_gen.__wrapped__(z, w) == canonical_generator(g)
+        if not ctx.is_rational:
+            omega = ctx.omega
+            assert g.norm() == lattice_index([z, z * omega, w, w * omega])
 
 
 def congruent(x, y, a):

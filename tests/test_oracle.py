@@ -9,7 +9,7 @@ import pytest
 
 from hecke.errors import LevelOverflowError
 from hecke.hecke_algebra import Monomial, identity, mu, theta
-from hecke.numberfield import make_ctx
+from hecke.numberfield import frac_ideal_parts, make_ctx
 from hecke.oracle import (CosetFunction, GroupElem, adjoint_fun, convolve,
                           count_L, count_R, e_fun, enumerate_monomials,
                           expected_monomial_function, identity_elem,
@@ -342,6 +342,33 @@ def test_verify_equivalence_smoke():
         assert report["failed"] == 0 and not report["failures"]
         assert report["checked"] == report["monomials"] ** 2
         assert report["monomials"] > 3
+
+
+def test_coset_levels_match_fractional_ideal_parts():
+    # the level of P_O(y, x) is the largest norm among the numerator and
+    # the denominator of xO and the denominator of yO, read here off
+    # frac_ideal_parts
+    rng = random.Random(5)
+    for d in (0, 1, 2, 3, 7, 163):
+        ctx = make_ctx(d)
+        uni = _Universe(ctx)
+
+        def rand_frac():
+            w = 0 if ctx.is_rational else 1
+            num = ctx.elem(rng.randint(-9, 9), w * rng.randint(-9, 9))
+            den = ctx.elem(rng.randint(1, 9), w * rng.randint(-4, 4))
+            return num / den
+
+        for _ in range(80):
+            x = rand_frac()
+            if x.is_zero:
+                continue
+            rep = uni.reps[uni.key_id(rand_frac(), x)]
+            num, den = frac_ideal_parts(rep.x)
+            yden = (1 if rep.y.is_integral
+                    else frac_ideal_parts(rep.y)[1].norm())
+            assert (uni.levels[uni.elem_id(rep)]
+                    == max(num.norm(), den.norm(), yden)), (d, rep)
 
 
 def test_level_guard():
