@@ -13,8 +13,10 @@ the command's click default map: each value is converted and checked by
 its option's type like the flag (exit 2 when malformed), a required
 option may come from the file, and explicit flags win.  The environment
 variable HECKE_LEVEL_MAX caps the level, level norm or series bound of
-every enumeration-heavy command as a safety valve.  Without it, regularity
-refuses a level norm above 200 (exit 2).
+every enumeration-heavy command (exit 2 above the cap).  Without it each
+of them has a default cap, set below from measured cost: verify --level
+6; finite-beta kms --extreme --bound 10**6 and level norm 2000;
+galois-compare level norm 10**4; regularity level norm 200.
 """
 from __future__ import annotations
 
@@ -123,10 +125,10 @@ _config_option = click.option(
     help="key=value file of option defaults; explicit flags win")
 
 
-def _level_guard(norm: int, default: int | None = None) -> None:
+def _level_guard(norm: int, default: int) -> None:
+    """Exit 2 when norm exceeds HECKE_LEVEL_MAX or, with that unset, the
+    command's default cap.  Each default rests on runs on a 2-core VM."""
     cap = os.environ.get("HECKE_LEVEL_MAX", default)
-    if cap is None:
-        return
     try:
         capval = int(cap)
     except ValueError:
@@ -274,9 +276,11 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
             _emit(out)
             return
         kp = KmsParams(beta=float(beta_text), bound=bound)
-        _level_guard(kp.bound)
+        # default cap: bound 10**6 peaks at 118 MB in d1, 3*10**6 at 289 MB
+        _level_guard(kp.bound, 10 ** 6)
         # the residue sums are an N(c) x N(c) table
-        _level_guard(chi.level_norm)
+        # default cap: level norm 2003 peaks at 124 MB, 3001 at 238 MB
+        _level_guard(chi.level_norm, 2000)
         val, err = phi_extreme_beta(r, chi, kp)
         _emit({"beta": beta_text, "bound": kp.bound, "err": err,
                "field": ctx.tag, "level": format_element(chi.c),
@@ -330,7 +334,8 @@ def pair_cmd(field_tag: str, level: str, w_text: str, r_text: str) -> None:
 def verify_cmd(field_tag: str, level: int) -> None:
     """Sweep all small monomial products against the coset oracle."""
     ctx = _field(field_tag)
-    _level_guard(level)
+    # default cap: d11 at 6 takes 15 s and 134 MB; Q at 8 27 s, d7 at 8 40 s
+    _level_guard(level, 6)
     report = verify_equivalence(ctx, level)
     _emit({
         "checked": report["checked"],
@@ -358,7 +363,8 @@ def galois_cmd(field_tag: str, level: str, w_text: str, j_text: str,
         lvl = _elem(ctx, level)
         chi = CharacterPoint.make(ctx, lvl, _elem(ctx, w_text))
         # the level group enumerates all N(c) residues
-        _level_guard(chi.level_norm)
+        # default cap: level 9240 in Q takes 4 s, 10010 7 s, 30030 104 s
+        _level_guard(chi.level_norm, 10 ** 4)
         g = SymmetryElem.make(ctx, lvl, _elem(ctx, j_text))
         rep = compare_actions(_torsion(ctx, r_text), chi, g)
     except ValueError as exc:
@@ -384,7 +390,7 @@ def regularity_cmd(field_tag: str, level: str) -> None:
     ctx = _field(field_tag)
     try:
         lvl = canonical_generator(_elem(ctx, level))
-        # default cap: level norm 449 takes 75 s and 740 MB (2-core VM)
+        # default cap: level norm 449 takes 75 s and 740 MB
         _level_guard(int(lvl.norm()), 200)
         rep = regularity_check(lvl)
     except ValueError as exc:

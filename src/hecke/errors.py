@@ -1,4 +1,5 @@
-"""Shared exception types."""
+"""Shared exception types.  Resource bounds are not errors of the
+library: the CLI caps the sizes it asks for before it computes."""
 from __future__ import annotations
 
 
@@ -9,7 +10,3 @@ class HeckeError(Exception):
 class UnsupportedFieldError(HeckeError, ValueError):
     """Raised for a field tag outside Q and the nine class-number-one
     imaginary quadratic fields."""
-
-
-class LevelOverflowError(HeckeError, RuntimeError):
-    """Raised when a coset computation escapes the declared level bound."""

@@ -16,7 +16,9 @@ the tests verify by translation sampling.
 
 The right coset P_O(y, x) equals (y + xO, xO*), so a coset is keyed by
 the canonical generator of the fractional ideal xO together with y
-reduced modulo the lattice xO.  Keys are interned to integers.  A
+reduced modulo the lattice xO.  Keys are interned to integers, with no
+bound on the level of a coset: the model is the algebra as defined, and
+callers bound the sizes they ask for (the CLI caps them).  A
 convolution groups each operand's support by scaling part, so the
 canonical generator of x1*x2*O and its inverse are found once per pair
 of scaling parts; each product coset is then keyed by integer
@@ -35,11 +37,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .errors import LevelOverflowError
 from .hecke_algebra import HeckeElement, Monomial, _mul_monomials
 from .numberfield import (FieldCtx, FieldElem, _numerators,
                           canonical_generator, frac_ideal_parts, gcd_gen,
-                          ideals_up_to, lattice_index, residues)
+                          ideals_up_to, residues)
 from .torsion import TorsionClass, stabilizer_index, torsion_class
 
 __all__ = [
@@ -47,10 +48,10 @@ __all__ = [
     "count_R", "count_L", "convolve", "adjoint_fun", "identity_fun", "e_fun",
     "nu_fun", "nu_adj_fun", "theta_fun", "expected_monomial_function",
     "symbolic_to_oracle", "enumerate_monomials", "verify_equivalence",
-    "DEFAULT_LEVEL",
 ]
 
-DEFAULT_LEVEL = 10 ** 6
+# verify_equivalence reports at most this many failing pairs in full
+MAX_FAILURES = 10
 
 
 @lru_cache(maxsize=None)
@@ -103,18 +104,6 @@ def in_subgroup(g: GroupElem) -> bool:
 # interned right-coset keys, one universe per field
 
 
-def _ideal_norms(x: FieldElem) -> tuple[int, int]:
-    """The norms of the coprime integral ideals num and den with
-    xO = (num/den)O: N(den) = [O + xO : O] and N(num) = N(x) N(den)."""
-    ctx, q = x.ctx, x.q
-    v = FieldElem(ctx, x.e0, x.e1, 1)  # q*x
-    if ctx.is_rational or q == 1:
-        return v.norm(), q
-    den = q * q // lattice_index([ctx.elem(q), ctx.elem(0, q), v,
-                                  v * ctx.omega])
-    return v.norm() * den // (q * q), den
-
-
 class _Universe:
     """Interning table for right-coset keys of one field.
 
@@ -128,13 +117,12 @@ class _Universe:
     translation parts.
     """
 
-    __slots__ = ("ctx", "ids", "reps", "levels", "prod", "phi", "std")
+    __slots__ = ("ctx", "ids", "reps", "prod", "phi", "std")
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
         self.ids: dict = {}
         self.reps: list[GroupElem] = []
-        self.levels: list[int] = []
         self.prod: dict = {}
         self.phi: dict = {}
         self.std: dict = {}
@@ -152,7 +140,6 @@ class _Universe:
         yr = xc * FieldElem(self.ctx, *cls)
         idx = len(self.reps)
         self.reps.append(GroupElem(yr, xc))
-        self.levels.append(max(*_ideal_norms(xc), _ideal_norms(yr)[1]))
         return idx
 
     def _class_id(self, tab: dict, xc: FieldElem, z: FieldElem) -> int:
@@ -204,19 +191,16 @@ def _universe(ctx: FieldCtx) -> _Universe:
 class CosetFunction:
     """Finitely supported rational function on right cosets P_O\\P_K."""
 
-    __slots__ = ("ctx", "level", "data")
+    __slots__ = ("ctx", "data")
 
-    def __init__(self, ctx: FieldCtx, data: dict | None = None,
-                 level: int = DEFAULT_LEVEL):
+    def __init__(self, ctx: FieldCtx, data: dict | None = None):
         self.ctx = ctx
-        self.level = level
         self.data = {}
         if data:
             for i, q in data.items():
                 q = Fraction(q)
                 if q:
                     self.data[i] = q
-            _check_levels(_universe(ctx), self.data, level)
 
     def value_at(self, g: GroupElem) -> Fraction:
         """The value on the right coset of g."""
@@ -230,7 +214,7 @@ class CosetFunction:
         out = dict(self.data)
         for i, q in other.data.items():
             out[i] = out.get(i, 0) + q
-        return CosetFunction(self.ctx, out, max(self.level, other.level))
+        return CosetFunction(self.ctx, out)
 
     def __sub__(self, other):
         return self + (other * Fraction(-1))
@@ -239,8 +223,7 @@ class CosetFunction:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return CosetFunction(
-            self.ctx, {i: q * scalar for i, q in self.data.items()},
-            self.level)
+            self.ctx, {i: q * scalar for i, q in self.data.items()})
 
     __rmul__ = __mul__
 
@@ -336,14 +319,6 @@ def _convolve_data(uni: _Universe, d1: dict, d2: dict) -> dict:
     return {k: Fraction(v, den1 * den2) for k, v in out.items()}
 
 
-def _check_levels(uni: _Universe, keys, level: int) -> None:
-    levels = uni.levels
-    for i in keys:
-        if levels[i] > level:
-            raise LevelOverflowError(
-                f"coset {uni.reps[i]!r} exceeds level {level}")
-
-
 def convolve(f: CosetFunction, g: CosetFunction) -> CosetFunction:
     """Convolution over right cosets.
 
@@ -351,13 +326,8 @@ def convolve(f: CosetFunction, g: CosetFunction) -> CosetFunction:
     the pair of support cosets P_O a (for f) and P_O b (for g)
     contributes f(a)g(b) on the single right coset P_O ab.
     """
-    uni = _universe(f.ctx)
-    data = _convolve_data(uni, f.data, g.data)
-    level = max(f.level, g.level)
-    _check_levels(uni, data, level)
     out = CosetFunction(f.ctx)
-    out.level = level
-    out.data = data
+    out.data = _convolve_data(_universe(f.ctx), f.data, g.data)
     return out
 
 
@@ -376,7 +346,7 @@ def adjoint_fun(f: CosetFunction) -> CosetFunction:
             if k in out and out[k] != q:
                 raise ValueError("adjoint of a non-bi-invariant function")
             out[k] = q
-    return CosetFunction(f.ctx, out, f.level)
+    return CosetFunction(f.ctx, out)
 
 
 # ---------------------------------------------------------------------------
@@ -435,53 +405,52 @@ def count_L(gamma: GroupElem) -> int:
 # the standard functions
 
 
-def identity_fun(ctx: FieldCtx, level: int = DEFAULT_LEVEL) -> CosetFunction:
+def identity_fun(ctx: FieldCtx) -> CosetFunction:
     """The characteristic function of P_O, the convolution identity."""
     uni = _universe(ctx)
-    return CosetFunction(ctx, {uni.key_id(ctx.zero, ctx.one): 1}, level)
+    return CosetFunction(ctx, {uni.key_id(ctx.zero, ctx.one): 1})
 
 
-def e_fun(r: FieldElem, level: int = DEFAULT_LEVEL) -> CosetFunction:
+def e_fun(r: FieldElem) -> CosetFunction:
     """Indicator of the single right coset P_O(r, 1)."""
     ctx = r.ctx
     uni = _universe(ctx)
-    return CosetFunction(ctx, {uni.key_id(r, ctx.one): 1}, level)
+    return CosetFunction(ctx, {uni.key_id(r, ctx.one): 1})
 
 
-def _indicator_dc(gamma: GroupElem, value, level: int) -> CosetFunction:
+def _indicator_dc(gamma: GroupElem, value) -> CosetFunction:
     ctx = gamma.y.ctx
     uni = _universe(ctx)
     data = {uni.elem_id(rep): value
             for rep in right_cosets_in_double_coset(gamma)}
-    return CosetFunction(ctx, data, level)
+    return CosetFunction(ctx, data)
 
 
-def nu_fun(a: FieldElem, level: int = DEFAULT_LEVEL) -> CosetFunction:
+def nu_fun(a: FieldElem) -> CosetFunction:
     """The unnormalized isometry function: indicator of P_O(0, a)P_O."""
     if not a.is_integral or a.is_zero:
         raise ValueError("nu index must be nonzero integral")
-    return _indicator_dc(GroupElem(a.ctx.zero, a), 1, level)
+    return _indicator_dc(GroupElem(a.ctx.zero, a), 1)
 
 
-def nu_adj_fun(a: FieldElem, level: int = DEFAULT_LEVEL) -> CosetFunction:
+def nu_adj_fun(a: FieldElem) -> CosetFunction:
     """Indicator of P_O(0, 1/a)P_O, the adjoint of nu_fun(a)."""
     if not a.is_integral or a.is_zero:
         raise ValueError("nu index must be nonzero integral")
-    return _indicator_dc(GroupElem(a.ctx.zero, 1 / a), 1, level)
+    return _indicator_dc(GroupElem(a.ctx.zero, 1 / a), 1)
 
 
-def theta_fun(r, level: int = DEFAULT_LEVEL) -> CosetFunction:
+def theta_fun(r) -> CosetFunction:
     """The function of the double coset of (r, 1), value 1/R on each of
     its R right cosets."""
     if isinstance(r, TorsionClass):
         r = r.rep
     ctx = r.ctx
     R = stabilizer_index(torsion_class(r))
-    return _indicator_dc(GroupElem(r, ctx.one), Fraction(1, R), level)
+    return _indicator_dc(GroupElem(r, ctx.one), Fraction(1, R))
 
 
-def expected_monomial_function(m: Monomial,
-                               level: int = DEFAULT_LEVEL) -> CosetFunction:
+def expected_monomial_function(m: Monomial) -> CosetFunction:
     """Closed-form image of a canonical monomial, bypassing convolution.
 
     M(a, r, b) is supported on the double coset of (r b, b/a) and takes
@@ -492,7 +461,7 @@ def expected_monomial_function(m: Monomial,
     rb = m.r.rep * m.b
     x = m.b / m.a
     R = stabilizer_index(m.r.scaled(m.a * m.b))
-    return _indicator_dc(GroupElem(rb, x), Fraction(1, R), level)
+    return _indicator_dc(GroupElem(rb, x), Fraction(1, R))
 
 
 # ---------------------------------------------------------------------------
@@ -509,43 +478,30 @@ def _std_data(uni: _Universe, fun, key) -> dict:
     return got
 
 
-def _phi_data(m: Monomial) -> tuple[dict, int]:
-    """Cached support data of the oracle image of one monomial, with the
-    largest key level occurring in it."""
+def _phi_data(m: Monomial) -> dict:
+    """Cached support data of the oracle image of one monomial."""
     uni = _universe(m.ctx)
     got = uni.phi.get(m)
     if got is None:
         data = _convolve_data(uni, _std_data(uni, nu_adj_fun, m.a),
                               _std_data(uni, theta_fun, m.r))
-        data = _convolve_data(uni, data, _std_data(uni, nu_fun, m.b))
-        maxlev = max((uni.levels[i] for i in data), default=1)
-        got = uni.phi[m] = (data, maxlev)
+        got = uni.phi[m] = _convolve_data(uni, data,
+                                          _std_data(uni, nu_fun, m.b))
     return got
 
 
-def _phi(m: Monomial, level: int = DEFAULT_LEVEL) -> CosetFunction:
-    data, maxlev = _phi_data(m)
-    if maxlev > level:
-        raise LevelOverflowError(
-            f"image of {m!r} needs level {maxlev}, bound is {level}")
-    out = CosetFunction(m.ctx)
-    out.level = level
-    out.data = dict(data)
-    return out
-
-
-def symbolic_to_oracle(x: HeckeElement,
-                       level: int = DEFAULT_LEVEL) -> CosetFunction:
+def symbolic_to_oracle(x: HeckeElement) -> CosetFunction:
     """Linear map sending M(a, r, b) to nu_a^* * theta_r * nu_b.
 
     This rational rescaling of the representation by functions drops a
     factor sqrt(N_a N_b) per monomial, so products correspond up to the
     integer factor checked in verify_equivalence.
     """
-    out = CosetFunction(x.ctx, {}, level)
+    out: dict = {}
     for m, q in x.terms.items():
-        out = out + _phi(m, level) * q
-    return out
+        for i, v in _phi_data(m).items():
+            out[i] = out.get(i, 0) + v * q
+    return CosetFunction(x.ctx, out)
 
 
 def enumerate_monomials(ctx: FieldCtx, bound: int) -> list[Monomial]:
@@ -584,21 +540,19 @@ def _product_scale(m1: Monomial, m2: Monomial, prod: dict) -> int:
     return kappa
 
 
-def verify_equivalence(ctx: FieldCtx, bound: int,
-                       level: int = DEFAULT_LEVEL,
-                       max_failures: int = 10) -> dict:
+def verify_equivalence(ctx: FieldCtx, bound: int) -> dict:
     """Sweep all ordered pairs of canonical monomials within the bound
     and compare the rewrite engine with the convolution, exactly.
 
     Returns a report {"field", "bound", "monomials", "checked",
     "failures": [...]}; an empty failure list means every product
-    agreed.
+    agreed; at most MAX_FAILURES failing pairs are listed.
     """
     mons = enumerate_monomials(ctx, bound)
     report = {"field": ctx.tag, "bound": bound, "monomials": len(mons),
               "checked": 0, "failed": 0, "failures": []}
     uni = _universe(ctx)
-    images = {m: _numerators(_phi(m, level).data) for m in mons}
+    images = {m: _numerators(_phi_data(m)) for m in mons}
     for m1 in mons:
         den1, nums1 = images[m1]
         for m2 in mons:
@@ -609,14 +563,13 @@ def verify_equivalence(ctx: FieldCtx, bound: int,
                 kappa = _product_scale(m1, m2, prod)
                 # the convolution, as integers over den1 * den2
                 got = _convolve_nums(uni, nums1, nums2)
-                _check_levels(uni, got, level)
                 # kappa * sum of q * Phi(m), as integers over one denominator
                 parts = []
                 den = 1
                 for m, q in prod.items():
                     img = images.get(m)
                     if img is None:
-                        img = images[m] = _numerators(_phi_data(m)[0])
+                        img = images[m] = _numerators(_phi_data(m))
                     dm, nums = img
                     kq = kappa * q
                     b = kq.denominator * dm
@@ -636,7 +589,7 @@ def verify_equivalence(ctx: FieldCtx, bound: int,
                 ok, detail = False, str(exc)
             if not ok:
                 report["failed"] += 1
-                if len(report["failures"]) < max_failures:
+                if len(report["failures"]) < MAX_FAILURES:
                     report["failures"].append(
                         {"left": repr(m1), "right": repr(m2),
                          "detail": detail})

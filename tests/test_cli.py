@@ -209,14 +209,28 @@ def test_level_cap_env():
     data = run_ok("verify", "--field", "Q", "--level", "3",
                   env={"HECKE_LEVEL_MAX": "5"})
     assert data["failures"] == []
-    # regularity has a default cap of level norm 200; a set cap governs
-    # instead of it.  N(41) = 1681 in Q(sqrt(-163)).
-    args = ("regularity", "--field", "d163", "--level", "41")
-    res = run_fail(*args, env={"HECKE_LEVEL_MAX": None})
-    assert res.exit_code == 2 and "HECKE_LEVEL_MAX" in res.output
-    assert "200" in res.output
-    res = run_fail(*args, env={"HECKE_LEVEL_MAX": "1000"})
-    assert res.exit_code == 2 and "cap 1000" in res.output
+    # with HECKE_LEVEL_MAX unset each command has a default cap, named in
+    # the message; a set cap governs instead of it.  Each call but
+    # regularity's is just over its cap and cheap, so a missing guard
+    # shows as exit 0.  N(101) = 10201 in Q(sqrt(-163)), N(41) = 1681.
+    for args, cap, env_cap in (
+            (["verify", "--field", "d163", "--level", "7"], "6", "10"),
+            (["kms", "--field", "Q", "--extreme", "--level", "1",
+              "--bound", "1000001", "--r", "(1)/(1)"], "1000000", "2000000"),
+            (["kms", "--field", "Q", "--extreme", "--level", "2001",
+              "--bound", "5", "--r", "(1)/(2001)"], "2000", "3000"),
+            (["galois-compare", "--field", "d163", "--level", "101",
+              "--j", "2", "--r", "(1)/(101)"], "10000", "20000"),
+            (["regularity", "--field", "d163", "--level", "41"], "200",
+             None)):
+        res = run_fail(*args, env={"HECKE_LEVEL_MAX": None})
+        assert res.exit_code == 2 and "HECKE_LEVEL_MAX" in res.output, args
+        assert f"exceeds the cap {cap};" in res.output, args
+        capped = run_fail(*args, env={"HECKE_LEVEL_MAX": str(int(cap) - 1)})
+        assert capped.exit_code == 2, args
+        assert f"the cap {int(cap) - 1};" in capped.output, args
+        if env_cap is not None:
+            run_ok(*args, env={"HECKE_LEVEL_MAX": env_cap})
 
 
 def test_usage_and_domain_errors():
