@@ -312,9 +312,6 @@ class HeckeElement:
         return HeckeElement(
             self.ctx, {m.adjoint(): q for m, q in self.terms.items()})
 
-    def coeff(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

@@ -94,15 +94,15 @@ def phi_symmetric(r: TorsionClass, beta: Number):
                 "the limit of sys.get_int_max_str_digits(); pass beta as a "
                 "float for a numeric value")
         val = Fraction(1)
-        for ideal, e in factor(b):
-            np_ = int(ideal.norm)
+        for p, e in factor(b):
+            np_ = p.norm()
             val *= Fraction((1 - np_ ** (k - 1)) * np_,
                             np_ ** (e * k) * (np_ - 1))
         return val
     bf = float(beta)
     val = 1.0
-    for ideal, e in factor(b):
-        np_ = int(ideal.norm)
+    for p, e in factor(b):
+        np_ = p.norm()
         val *= (np_ ** (-e * bf) - np_ ** ((1 - e) * bf - 1)) / (1 - 1 / np_)
     return val
 
@@ -199,8 +199,8 @@ def _series_tail(ctx: FieldCtx, bound: int, beta: float) -> float:
 # Dedekind zeta as an Euler product
 
 
-# the largest prime cutoff zeta_k picks on its own, and the largest prime
-# table kept between calls (int64, about 15 MB at this cutoff)
+# the largest prime cutoff zeta_k uses, and so the largest prime table
+# kept between calls (int64, about 15 MB at this cutoff)
 _PRIME_BOUND_MAX = 30_000_000
 
 
@@ -230,11 +230,8 @@ def _primes_up_to(limit: int) -> np.ndarray:
 
     The table is sieved once per process and sliced for every later
     cutoff at or below the largest one met so far; a larger cutoff
-    rebuilds it up to exactly that cutoff.  A cutoff above
-    _PRIME_BOUND_MAX is sieved for the one call and not kept."""
+    rebuilds it up to exactly that cutoff."""
     global _prime_table
-    if limit > _PRIME_BOUND_MAX:
-        return _sieve(limit)
     covered, primes = _prime_table
     if limit > covered:
         covered, primes = limit, _sieve(limit)
@@ -243,14 +240,14 @@ def _primes_up_to(limit: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def zeta_k(ctx: FieldCtx, beta: Number, tol: float = 1e-7,
-           prime_bound: int | None = None) -> tuple[float, float]:
+def zeta_k(ctx: FieldCtx, beta: Number,
+           tol: float = 1e-7) -> tuple[float, float]:
     """The Dedekind zeta value at beta > 1 with a certified error bound.
 
     Euler product over rational primes up to a cutoff chosen from the
-    tolerance, at most _PRIME_BOUND_MAX, or passed as prime_bound >= 2;
-    the reported bound covers the truncated tail (via
-    |log local factor| <= C * p^(-beta)) plus float accumulation.
+    tolerance, at most _PRIME_BOUND_MAX; the reported bound covers the
+    truncated tail (via |log local factor| <= C * p^(-beta)) plus float
+    accumulation.
     """
     bf = float(beta)
     if not 1 < bf < inf:  # NaN fails too
@@ -258,19 +255,16 @@ def zeta_k(ctx: FieldCtx, beta: Number, tol: float = 1e-7,
     if not tol > 0:
         raise ValueError("zeta requires tol > 0")
     cb = 2.0 / (1.0 - 2.0 ** (-bf))  # |log factor_p| <= cb * p^(-beta)
-    if prime_bound is None:
-        # tail of sum cb * p^(-beta) <= cb * P^(1-beta)/(beta-1); aim at
-        # tol/4 relative so the absolute bound lands under tol
-        target = max(tol / 4.0, 1e-12)
-        try:
-            prime_bound = int((cb / ((bf - 1.0) * target))
-                              ** (1.0 / (bf - 1.0))) + 10
-        except OverflowError:
-            raise ValueError(f"beta={bf} is too close to 1 for the Euler "
-                             "product") from None
-        prime_bound = min(max(prime_bound, 100), _PRIME_BOUND_MAX)
-    elif prime_bound < 2:
-        raise ValueError(f"prime_bound must be at least 2, not {prime_bound}")
+    # tail of sum cb * p^(-beta) <= cb * P^(1-beta)/(beta-1); aim at
+    # tol/4 relative so the absolute bound lands under tol
+    target = max(tol / 4.0, 1e-12)
+    try:
+        prime_bound = int((cb / ((bf - 1.0) * target))
+                          ** (1.0 / (bf - 1.0))) + 10
+    except OverflowError:
+        raise ValueError(f"beta={bf} is too close to 1 for the Euler "
+                         "product") from None
+    prime_bound = min(max(prime_bound, 100), _PRIME_BOUND_MAX)
     primes = _primes_up_to(prime_bound)
     pw = primes.astype(np.float64) ** (-bf)
     # log1p overwrites its own input, a copy of -pw that is freed before

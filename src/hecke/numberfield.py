@@ -15,7 +15,6 @@ terminate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd, isqrt, lcm
@@ -467,12 +466,14 @@ def parse_element(text: str, ctx: FieldCtx) -> FieldElem:
             if term[0] == "-":
                 sign = -sign
             term = term[1:]
-        if term.endswith("w"):
-            body = term[:-1].rstrip("*")
-            coeff = Fraction(body) if body else Fraction(1)
-            c1 += sign * coeff
-        else:
-            c0 += sign * Fraction(term)
+        try:
+            if term.endswith("w"):
+                body = term[:-1].rstrip("*")
+                c1 += sign * (Fraction(body) if body else 1)
+            else:
+                c0 += sign * Fraction(term)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     if ctx.is_rational and c1:
         raise ValueError(f"{text!r} has an omega part but the field is Q")
     return ctx.elem(c0, c1)
@@ -506,32 +507,9 @@ def canonical_generator(x: FieldElem) -> FieldElem:
     return min((u * x for u in x.ctx.units), key=_assoc_key)
 
 
-@dataclass(frozen=True)
-class PrincipalIdeal:
-    """A principal (fractional) ideal, stored by canonical generator."""
-
-    gen: FieldElem
-    norm: "int | Fraction"
-
-    @staticmethod
-    def of(x: FieldElem) -> "PrincipalIdeal":
-        if x.is_zero:
-            raise ValueError("zero ideal not supported")
-        g = canonical_generator(x)
-        return PrincipalIdeal(g, g.norm())
-
-    @property
-    def ctx(self) -> FieldCtx:
-        return self.gen.ctx
-
-    def __mul__(self, other: "PrincipalIdeal") -> "PrincipalIdeal":
-        return PrincipalIdeal.of(self.gen * other.gen)
-
-    def divides(self, other: "PrincipalIdeal") -> bool:
-        return divide_exact(other.gen, self.gen) is not None
-
-    def __repr__(self):
-        return f"({format_element(self.gen)})"
+def _ideal_key(g: FieldElem):
+    """Order of canonical ideal generators: by norm, then by _assoc_key."""
+    return (g.norm(), _assoc_key(g))
 
 
 def divide_exact(x: FieldElem, y: FieldElem) -> FieldElem | None:
@@ -749,9 +727,9 @@ def prime_elements_above(ctx: FieldCtx, p: int) -> tuple[FieldElem, ...]:
     return tuple(reps)
 
 
-def factor(a: FieldElem) -> list[tuple[PrincipalIdeal, int]]:
+def factor(a: FieldElem) -> list[tuple[FieldElem, int]]:
     """Prime factorization of a nonzero integral element, as a list of
-    (prime ideal, exponent) pairs sorted by (norm, generator key).
+    (canonical prime generator, exponent) pairs sorted by _ideal_key.
 
     a equals a unit times the product of gen^exponent.
     """
@@ -772,9 +750,9 @@ def factor(a: FieldElem) -> list[tuple[PrincipalIdeal, int]]:
                 rest = q
                 e += 1
             if e:
-                out.append((PrincipalIdeal.of(pi), e))
+                out.append((pi, e))
     assert rest.is_unit, "factorization left a non-unit cofactor"
-    out.sort(key=lambda t: (t[0].norm, _assoc_key(t[0].gen)))
+    out.sort(key=lambda t: _ideal_key(t[0]))
     return out
 
 
@@ -813,12 +791,11 @@ def _ideal_arrays(d: int, bound: int):
     return norms[order], gx[keep][order], gy[keep][order]
 
 
-def ideals_up_to(ctx: FieldCtx, bound: int) -> list[PrincipalIdeal]:
-    """All nonzero integral ideals of norm <= bound, sorted by norm and
-    then by canonical generator."""
+def ideals_up_to(ctx: FieldCtx, bound: int) -> list[FieldElem]:
+    """The canonical generators of all nonzero integral ideals of norm
+    <= bound, sorted by _ideal_key."""
     if bound < 1:
         return []
     _, xs, ys = _ideal_arrays(ctx.d, bound)
-    ideals = [PrincipalIdeal.of(ctx.elem(int(x), int(y)))
-              for x, y in zip(xs, ys)]
-    return sorted(ideals, key=lambda i: (i.norm, _assoc_key(i.gen)))
+    return sorted((canonical_generator(ctx.elem(int(x), int(y)))
+                   for x, y in zip(xs, ys)), key=_ideal_key)

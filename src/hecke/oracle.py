@@ -507,7 +507,7 @@ def symbolic_to_oracle(x: HeckeElement) -> CosetFunction:
 def enumerate_monomials(ctx: FieldCtx, bound: int) -> list[Monomial]:
     """All canonical monomials with slot norms and label denominator
     norms at most the bound."""
-    gens = [ideal.gen for ideal in ideals_up_to(ctx, bound)]
+    gens = ideals_up_to(ctx, bound)
     out = set()
     for a in gens:
         for b in gens:

@@ -28,6 +28,26 @@ def _elem_key(x: FieldElem):
     return (x.c0, x.c1)
 
 
+def _unit_residue(ctx: FieldCtx, c, x) -> tuple[FieldElem, FieldElem]:
+    """(c, x) checked and reduced: c a nonzero integral level, taken to
+    its canonical generator, and x integral and invertible modulo c,
+    taken to its canonical residue."""
+    if not isinstance(c, FieldElem):
+        c = ctx.elem(c)
+    if not isinstance(x, FieldElem):
+        x = ctx.elem(x)
+    if c.is_zero or not c.is_integral:
+        raise ValueError("level must be a nonzero integral element")
+    if not x.is_integral:
+        raise ValueError(f"residue {format_element(x)} must be integral")
+    c = canonical_generator(c)
+    if not is_coprime(x, c):
+        raise ValueError(
+            f"residue {format_element(x)} is not a unit modulo "
+            f"{format_element(c)}")
+    return c, reduce_mod(x, c)
+
+
 class CharacterPoint:
     """A level-c extreme character, stored as a unit residue w mod c."""
 
@@ -42,20 +62,7 @@ class CharacterPoint:
     def make(cls, ctx: FieldCtx, c, w) -> "CharacterPoint":
         """Validated constructor: c a nonzero integral level, w integral
         and invertible modulo c; w is reduced to its canonical residue."""
-        if isinstance(c, int):
-            c = ctx.elem(c)
-        if isinstance(w, int):
-            w = ctx.elem(w)
-        if c.is_zero or not c.is_integral:
-            raise ValueError("level must be a nonzero integral element")
-        if not w.is_integral:
-            raise ValueError("character datum must be integral")
-        c = canonical_generator(c)
-        if not is_coprime(w, c):
-            raise ValueError(
-                f"residue {format_element(w)} is not a unit modulo "
-                f"{format_element(c)}")
-        return cls(ctx, c, reduce_mod(w, c))
+        return cls(ctx, *_unit_residue(ctx, c, w))
 
     @property
     def level_norm(self) -> int:
@@ -167,10 +174,10 @@ def _proper_divisors(c: FieldElem) -> list[FieldElem]:
     from .numberfield import factor
 
     out = [c.ctx.one]
-    for ideal, mult in factor(c):
+    for prime, mult in factor(c):
         powers = [c.ctx.one]
         for _ in range(mult):
-            powers.append(powers[-1] * ideal.gen)
+            powers.append(powers[-1] * prime)
         out = [canonical_generator(x * p) for x in out for p in powers]
     key = _elem_key(canonical_generator(c))
     return sorted((x for x in out if _elem_key(x) != key), key=_elem_key)

@@ -3,18 +3,20 @@
 Unit residues modulo c form the group (O/cO)*; the image of the global
 units O* inside it is the subgroup that acts trivially on symmetric
 data, and the quotient is the level-c symmetry group.  level_group
-builds it once per level.  It acts on character points by
-multiplication (the geometric action, which transports extreme states
-to each other) and on cyclotomic state values through the field norm,
-raising each root of unity to the power N(t) for an integral lift t
-(the arithmetic action).  compare_actions evaluates one instance of
-each and decides exact equality; the two agree on every input over the
-rationals and disagree already at level 5 over the Gaussian integers.
+builds it once per level, for the checks that walk the whole group.
+The group acts on character points by multiplication (the geometric
+action, which transports extreme states to each other) and on
+cyclotomic state values through the field norm, raising each root of
+unity to the power N(t) for an integral lift t (the arithmetic
+action).  compare_actions evaluates one instance of each and decides
+exact equality; the two agree on every input over the rationals and
+disagree already at level 5 over the Gaussian integers.
 
-A SymmetryElem remembers the residue it was built from, so that acting
-on a character point is deterministic, but equality and hashing use the
-canonical orbit representative: two residues that differ by a global
-unit are the same group element.
+A SymmetryElem is one unit residue j at its level, so that acting on a
+character point is deterministic; equality and hashing use the least
+residue of its coset j*O*, computed when asked for: two residues that
+differ by a global unit are the same group element.  Building, moving,
+multiplying or inverting an element never enumerates the group.
 """
 from __future__ import annotations
 
@@ -23,9 +25,9 @@ from typing import NamedTuple
 
 from .cyclotomic import CycloNum
 from .kms import phi_extreme_infty
-from .numberfield import (FieldCtx, FieldElem, canonical_generator,
+from .numberfield import (FieldCtx, FieldElem, canonical_generator, factor,
                           is_coprime, reduce_mod, residues)
-from .pairing import CharacterPoint, _elem_key
+from .pairing import CharacterPoint, _elem_key, _unit_residue
 from .torsion import TorsionClass, torsion_class, torsion_points
 
 __all__ = [
@@ -54,6 +56,13 @@ class LevelGroup(NamedTuple):
 _level_cache: dict = {}
 
 
+def _unit_coset(w: FieldElem, c: FieldElem) -> list[FieldElem]:
+    """The residues w*u mod c over the global units u, least first: its
+    head is the coset's representative."""
+    return sorted({reduce_mod(w * u, c) for u in c.ctx.units},
+                  key=_elem_key)
+
+
 def level_group(c: FieldElem) -> LevelGroup:
     """The symmetry group at the level generated by c, built once."""
     cc = canonical_generator(c)
@@ -68,10 +77,9 @@ def level_group(c: FieldElem) -> LevelGroup:
     for w in units:
         if w in rep_of:
             continue
-        coset = [reduce_mod(w * u, cc) for u in image]
-        rep = min(coset, key=_elem_key)
+        coset = _unit_coset(w, cc)
         for z in coset:
-            rep_of[z] = rep
+            rep_of[z] = coset[0]
     reps = tuple(sorted(set(rep_of.values()), key=_elem_key))
     hit = _level_cache[cc] = LevelGroup(cc, units, image, reps, rep_of)
     return hit
@@ -80,59 +88,56 @@ def level_group(c: FieldElem) -> LevelGroup:
 class SymmetryElem:
     """A unit residue j modulo c, up to the image of the global units."""
 
-    __slots__ = ("ctx", "c", "j", "rep")
+    __slots__ = ("ctx", "c", "j")
 
-    def __init__(self, ctx: FieldCtx, c: FieldElem, j: FieldElem,
-                 rep: FieldElem):
+    def __init__(self, ctx: FieldCtx, c: FieldElem, j: FieldElem):
         self.ctx = ctx
         self.c = c
         self.j = j
-        self.rep = rep
 
     @classmethod
     def make(cls, ctx: FieldCtx, c, j) -> "SymmetryElem":
-        if not isinstance(c, FieldElem):
-            c = ctx.elem(c)
-        grp = level_group(c)
-        jj = j if isinstance(j, FieldElem) else ctx.elem(j)
-        if not jj.is_integral:
-            raise ValueError("symmetry residue must be integral")
-        jj = reduce_mod(jj, grp.c)
-        rep = grp.rep_of.get(jj)
-        if rep is None:
-            raise ValueError(f"residue {jj!r} is not invertible mod {grp.c!r}")
-        return cls(ctx, grp.c, jj, rep)
-
-    @classmethod
-    def identity(cls, ctx: FieldCtx, c) -> "SymmetryElem":
-        return cls.make(ctx, c, 1)
+        """Validated constructor, as CharacterPoint.make: c goes to its
+        canonical generator and j, a unit modulo c, to its residue."""
+        return cls(ctx, *_unit_residue(ctx, c, j))
 
     def is_identity(self) -> bool:
-        return self.rep == level_group(self.c).rep_of[
-            reduce_mod(self.ctx.one, self.c)]
+        return self.j in _unit_coset(self.ctx.one, self.c)
 
     def __mul__(self, other: "SymmetryElem") -> "SymmetryElem":
         if not isinstance(other, SymmetryElem):
             return NotImplemented
         if self.ctx.d != other.ctx.d or self.c != other.c:
             raise ValueError("level mismatch")
-        return SymmetryElem.make(self.ctx, self.c, self.j * other.j)
+        return SymmetryElem(self.ctx, self.c,
+                            reduce_mod(self.j * other.j, self.c))
 
     def inverse(self) -> "SymmetryElem":
-        one = reduce_mod(self.ctx.one, self.c)
-        for z in level_group(self.c).units:
-            if reduce_mod(self.j * z, self.c) == one:
-                return SymmetryElem.make(self.ctx, self.c, z)
-        raise ValueError("no inverse found; residue not a unit")
+        """j^(phi(c) - 1) mod c by square-and-multiply, where phi(c) is
+        the order of (O/cO)*, read off the prime factorization of c."""
+        c = self.c
+        order = 1
+        for p, e in factor(c):
+            n = p.norm()
+            order *= n ** (e - 1) * (n - 1)
+        k = order - 1
+        z, base = reduce_mod(self.ctx.one, c), self.j
+        while k:
+            if k & 1:
+                z = reduce_mod(z * base, c)
+            base = reduce_mod(base * base, c)
+            k >>= 1
+        return SymmetryElem(self.ctx, c, z)
 
     def __eq__(self, other):
         if not isinstance(other, SymmetryElem):
             return NotImplemented
         return (self.ctx.d == other.ctx.d and self.c == other.c
-                and self.rep == other.rep)
+                and _unit_coset(self.j, self.c)[0]
+                == _unit_coset(other.j, other.c)[0])
 
     def __hash__(self):
-        return hash((self.c, self.rep))
+        return hash((self.c, _unit_coset(self.j, self.c)[0]))
 
     def __repr__(self):
         return f"SymmetryElem(c={self.c!r}, j={self.j!r})"

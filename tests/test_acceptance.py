@@ -59,7 +59,7 @@ def test_criterion_2_coset_count_formula_vs_enumeration():
     enumeration for all group elements with parameter norms <= 12, and
     R((0, a)) = N_a up to norm 100."""
     for ctx in (Q, GAUSS):
-        gens = [g.gen for g in ideals_up_to(ctx, 12)]
+        gens = ideals_up_to(ctx, 12)
         dens = [(m, list(residues(m))) for m in gens]
         for p in gens:
             for q in gens:
@@ -68,9 +68,8 @@ def test_criterion_2_coset_count_formula_vs_enumeration():
                     for t in res:
                         count_R(GroupElem(t / m, x))  # asserts both routes
     for ctx in (Q, GAUSS):
-        for ideal in ideals_up_to(ctx, 100):
-            gamma = GroupElem(ctx.zero, ideal.gen)
-            assert count_R(gamma) == int(ideal.gen.norm())
+        for g in ideals_up_to(ctx, 100):
+            assert count_R(GroupElem(ctx.zero, g)) == g.norm()
 
 
 def test_criterion_3_presentation_relations():
@@ -79,7 +78,7 @@ def test_criterion_3_presentation_relations():
     exact under the engine for exhaustive small parameters."""
     for ctx in (Q, GAUSS, EISEN):
         one = identity(ctx)
-        gens = [g.gen for g in ideals_up_to(ctx, 6)]
+        gens = ideals_up_to(ctx, 6)
         rs = [r for m in gens for r in torsion_points(m)]
 
         for u in ctx.units:
@@ -134,7 +133,7 @@ def test_criterion_4_kms_identity_and_rescaling():
     rescaling law phi_beta(alpha_a(x)) = N_a^(-beta) phi_beta(x)."""
     rng = random.Random(41)
     for ctx in (Q, GAUSS):
-        gens = [g.gen for g in ideals_up_to(ctx, 5)]
+        gens = ideals_up_to(ctx, 5)
         pool = []
         for a in gens:
             for b in gens:
@@ -214,8 +213,7 @@ def test_criterion_7_extreme_state_structure():
     which no averaging can cancel; the certified bound covers it.)"""
     params = KmsParams(beta=2, bound=100_000, tol=1e-7)
     for ctx in (Q, GAUSS, EISEN):
-        for ideal in ideals_up_to(ctx, 30):
-            c = ideal.gen
+        for c in ideals_up_to(ctx, 30):
             report = regularity_check(c)
             assert report["all_ok"], (ctx.tag, c)
             assert report["group_order"] == report["extreme_classes"]

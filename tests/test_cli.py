@@ -302,6 +302,12 @@ def test_exit_codes_without_traceback():
         (["zeta", "--beta", "nan"], 1),
         (["kms", "--extreme", "--level", "5", "--bound", "10", "--beta",
           "nan", "--r", "(1)/(5)"], 1),
+        # a zero denominator anywhere in element text is malformed input
+        (["pair", "--field", "q", "--level", "1/0", "--r", "0"], 2),
+        (["pair", "--field", "q", "--level", "5", "--r", "(1)/(1/0)"], 2),
+        (["mul", "--field", "q", "theta(1/0)", "id"], 2),
+        (["galois-compare", "--field", "d1", "--level", "5", "--j", "3/0*w",
+          "--r", "(1)/(5)"], 2),
     ]
     runner = CliRunner()
     for args, code in cases:
@@ -322,9 +328,9 @@ def test_exit_codes_without_traceback():
 # 30 set below); finite betas stay at 2 or more and zeta always gets a
 # coarse tol, so no call needs the large prime tables
 _FIELDS = (["Q", "d1", "d3"], ["zz"])
-_LEVELS = (["1", "2", "5", "1+1*w"], ["0", "abc", "40"])
-_RS = (["(1)/(2)", "(1)/(5)", "0", "1/2"], ["(1)/(0)", "bogus"])
-_WS = (["1", "2", "3"], ["abc"])
+_LEVELS = (["1", "2", "5", "1+1*w"], ["0", "abc", "40", "1/0"])
+_RS = (["(1)/(2)", "(1)/(5)", "0", "1/2"], ["(1)/(0)", "bogus", "1/0"])
+_WS = (["1", "2", "3"], ["abc", "1/0"])
 _COMMANDS = {
     "field": {"field_tag": _FIELDS},
     "mul": {"field_tag": _FIELDS},
@@ -340,13 +346,14 @@ _COMMANDS = {
     "verify": {"field_tag": _FIELDS,
                "level": (["1", "2", "3"], ["0", "-1", "abc", "99"])},
     "galois-compare": {"field_tag": _FIELDS, "level": _LEVELS, "w_text": _WS,
-                       "j_text": (["1", "2", "3"], ["0", "abc"]),
+                       "j_text": (["1", "2", "3"], ["0", "abc", "1/0"]),
                        "r_text": _RS},
     "regularity": {"field_tag": _FIELDS, "level": _LEVELS},
 }
 _FLAGS = {"field_tag": "--field", "r_text": "--r", "w_text": "--w",
           "j_text": "--j"}
-_ALGEBRA = (["theta(1/2)", "mu(2)", "mustar(3)", "id"], ["mu(0)", "bogus(1)"])
+_ALGEBRA = (["theta(1/2)", "mu(2)", "mustar(3)", "id"],
+            ["mu(0)", "bogus(1)", "theta(1/0)"])
 _JUNK = (["# a comment", ""], ["no_such_key = 1", "garbage", "config = x"])
 
 

@@ -221,29 +221,37 @@ def test_from_exponent_reduces_mod_one():
 
 
 def test_minimal_polynomial_vanishes():
-    # independent route: sympy's cyclotomic polynomial evaluated at the
-    # symbolic root must be exactly zero, and it must equal the in-house
-    # reduction polynomial below its leading term
-    from sympy import Poly, Symbol, cyclotomic_poly
-
-    x = Symbol("x")
+    # P = x^D + sum tail[i] x^i is Phi_m exactly when it is monic with
+    # integer coefficients, D = phi(m), and |P(zeta)| < 1 at every
+    # primitive m-th root zeta: otherwise P - Phi_m is a nonzero integer
+    # polynomial of degree below phi(m), so (P - Phi_m)(zeta) is a
+    # nonzero algebraic integer whose norm, the product of |P| over all
+    # primitive roots, is at least 1
+    for m in range(1, 301):
+        tail = _reduction_tail(m)
+        assert all(type(c) is int for c in tail)
+        assert len(tail) == sum(1 for k in range(m) if gcd(k, m) == 1)
+        coeffs = (*tail, 1)
+        for k in range(m):
+            if gcd(k, m) == 1:
+                z = cmath.exp(2j * cmath.pi * k / m)
+                value = 0j
+                for c in reversed(coeffs):
+                    value = value * z + c
+                assert abs(value) < 1e-6, (m, k)
+    # and the exact arithmetic sends the root itself to zero
     for m in [4, 5, 6, 9, 12, 15]:
-        coeffs = Poly(cyclotomic_poly(m, x), x).all_coeffs()
         z = root_of_unity(m)
         total = CycloNum.zero()
         power = CycloNum.one()
-        for c in reversed(coeffs):
-            total = total + int(c) * power
+        for c in (*_reduction_tail(m), 1):
+            total = total + c * power
             power = power * z
         assert total.is_zero
-    for m in range(1, 301):
-        coeffs = Poly(cyclotomic_poly(m, x), x).all_coeffs()
-        assert coeffs[0] == 1
-        assert _reduction_tail(m) == tuple(int(c) for c in reversed(coeffs[1:]))
 
 
 def test_library_runs_without_sympy():
-    # sympy is a test-only reference: the CLI and a ground-state value
+    # sympy is no dependency at all: the CLI and a ground-state value
     # must not import it
     code = (
         "import sys\n"

@@ -87,7 +87,7 @@ def test_monomial_canonicalization():
     assert isinstance(maxsize, int) and maxsize > 0
     for d in SUPPORTED_D:
         ctx = make_ctx(d)
-        gens = [i.gen for i in ideals_up_to(ctx, 5)]
+        gens = ideals_up_to(ctx, 5)
         shifts = [ctx.zero, ctx.one] + ([] if d == 0 else [ctx.omega])
         for _ in range(12):
             a, b, c, f = (rng.choice(gens) for _ in range(4))
@@ -267,7 +267,7 @@ def test_integer_theta_part_matches_fraction_reference():
     rng = random.Random(23)
     for d in (0, 1, 3):
         ctx = make_ctx(d)
-        gens = [i.gen for i in ideals_up_to(ctx, 12)]
+        gens = ideals_up_to(ctx, 12)
         non_units = [g for g in gens if not g.is_unit]
 
         def rand_part(size):

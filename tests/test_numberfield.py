@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from hecke.errors import UnsupportedFieldError
 from hecke.numberfield import (
-    FieldElem, PrincipalIdeal, SUPPORTED_D, canonical_generator, ctx_from_tag,
+    FieldElem, SUPPORTED_D, canonical_generator, ctx_from_tag,
     divide_exact, elements_of_norm, factor, factor_int, format_element,
     frac_ideal_parts, gcd_gen, ideals_up_to, is_coprime, kronecker_symbol,
     lattice_index, make_ctx, parse_element, prime_elements_above, reduce_mod,
@@ -301,9 +301,9 @@ def test_canonical_generator_rules():
 def test_factor_examples():
     ctx = make_ctx(1)
     f2 = factor(ctx.elem(2))
-    assert len(f2) == 1 and f2[0][1] == 2 and f2[0][0].norm == 2
+    assert len(f2) == 1 and f2[0][1] == 2 and f2[0][0].norm() == 2
     f5 = factor(ctx.elem(5))
-    assert sorted(p.norm for p, _ in f5) == [5, 5]
+    assert sorted(p.norm() for p, _ in f5) == [5, 5]
     assert all(e == 1 for _, e in f5)
     assert factor(ctx.omega) == []
 
@@ -318,9 +318,9 @@ def test_factor_reconstruction_random():
             if x.is_zero:
                 continue
             prod = ctx.one
-            for ideal, e in factor(x):
+            for p, e in factor(x):
                 for _ in range(e):
-                    prod = prod * ideal.gen
+                    prod = prod * p
             u = divide_exact(x, prod)
             assert u is not None and u.is_unit
 
@@ -370,13 +370,14 @@ def test_factor_int():
 def test_ideals_up_to_counts():
     # frozen from the divisor-sum count sum_{d | n} chi(d) for each norm
     ideals = ideals_up_to(make_ctx(1), 6)
-    assert [i.norm for i in ideals] == [1, 2, 4, 5, 5]
+    assert [g.norm() for g in ideals] == [1, 2, 4, 5, 5]
     ideals3 = ideals_up_to(make_ctx(3), 7)
-    assert [i.norm for i in ideals3] == [1, 3, 4, 7, 7]
+    assert [g.norm() for g in ideals3] == [1, 3, 4, 7, 7]
     q = ideals_up_to(make_ctx(0), 4)
-    assert [i.norm for i in q] == [1, 2, 3, 4]
-    # all pairwise distinct as ideals
-    assert len({i.gen for i in ideals}) == len(ideals)
+    assert q == [1, 2, 3, 4]
+    # canonical generators, pairwise distinct as ideals
+    assert all(canonical_generator(g) == g for g in ideals)
+    assert len(set(ideals)) == len(ideals)
 
 
 def test_frac_ideal_parts():
@@ -417,12 +418,13 @@ def test_element_text_roundtrip():
         parse_element("", q)
 
 
-def test_principal_ideal_api():
+def test_principal_ideals_by_canonical_generator():
+    # an ideal is its canonical generator: associates share it, and
+    # divisibility of ideals is exact division of generators
     ctx = make_ctx(1)
-    a = PrincipalIdeal.of(ctx.elem(0, 2))
-    b = PrincipalIdeal.of(ctx.elem(2))
-    assert a == b and a.norm == 4
-    c = PrincipalIdeal.of(ctx.elem(1, 1))
-    assert c.divides(a)
-    assert not a.divides(c)
-    assert (c * c).norm == 4
+    a = canonical_generator(ctx.elem(0, 2))
+    assert a == canonical_generator(ctx.elem(2)) and a.norm() == 4
+    c = canonical_generator(ctx.elem(1, 1))
+    assert divide_exact(a, c) is not None
+    assert divide_exact(c, a) is None
+    assert canonical_generator(c * c).norm() == 4

@@ -132,7 +132,7 @@ def test_quotient_order_formula():
             grp = level_group(c)
             phi = Fraction(int(c.norm()))
             for p, _ in factor(c):
-                phi *= 1 - Fraction(1, p.norm)
+                phi *= 1 - Fraction(1, p.norm())
             fixed = sum(1 for u in ctx.units
                         if divide_exact(u - 1, c) is not None)
             assert len(grp.units) == phi

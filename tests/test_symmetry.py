@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from hecke import symmetry
 from hecke.cyclotomic import CycloNum, from_exponent, root_of_unity
 from hecke.kms import phi_extreme_infty
 from hecke.numberfield import ideals_up_to, make_ctx, reduce_mod
@@ -56,6 +57,41 @@ def test_group_laws_exhaustive():
                 assert (a * b) in els
                 for d in els:
                     assert ((a * b) * d) == (a * (b * d))
+
+
+def test_element_against_level_group_table():
+    # an element holds its residue alone; its inverse, equality, hash
+    # and identity test must agree with the table of the whole group
+    for ctx in (Q, GAUSS, EISEN):
+        for c in ideals_up_to(ctx, 30):
+            grp = level_group(c)
+            one = reduce_mod(ctx.one, c)
+            els = [SymmetryElem.make(ctx, c, w) for w in grp.units]
+            for g in els:
+                brute = [z for z in grp.units
+                         if reduce_mod(g.j * z, c) == one]
+                assert [g.inverse().j] == brute, (ctx.tag, c, g)
+                assert g.is_identity() == (grp.rep_of[g.j]
+                                           == grp.rep_of[one])
+                for h in els:
+                    same = grp.rep_of[g.j] == grp.rep_of[h.j]
+                    assert (g == h) == same, (ctx.tag, c, g, h)
+                    if same:
+                        assert hash(g) == hash(h)
+
+
+def test_compare_actions_builds_no_level_group(monkeypatch):
+    # (O/cO)* has 320,000 residues at this level, and one element needs
+    # none of the others: no table of size N(c) is built
+    monkeypatch.setattr(symmetry, "_level_cache", {})
+    c = GAUSS.elem(1000)
+    chi = CharacterPoint.make(GAUSS, c, 1)
+    g = SymmetryElem.make(GAUSS, c, 3)
+    rep = compare_actions(torsion_class(GAUSS.elem(Fraction(1, 1000))),
+                          chi, g)
+    assert (g * g.inverse()).is_identity()
+    assert rep["j"] == 3 and rep["equal"] is False
+    assert symmetry._level_cache == {}
 
 
 def test_level_mismatch_errors():
@@ -214,9 +250,9 @@ def test_state_transport_identity():
 
 def test_regularity_small_levels_all_fields():
     for ctx in (Q, GAUSS, EISEN):
-        for ideal in ideals_up_to(ctx, 12):
-            rep = regularity_check(ideal.gen)
-            assert rep["all_ok"], (ctx.tag, ideal.gen)
+        for c in ideals_up_to(ctx, 12):
+            rep = regularity_check(c)
+            assert rep["all_ok"], (ctx.tag, c)
             assert rep["group_order"] == rep["extreme_classes"]
 
 
