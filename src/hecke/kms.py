@@ -1,26 +1,35 @@
 """Equilibrium states of the dynamical system and the partition function.
 
 The time evolution scales an isometry of norm N by N^(it), so a basis
-monomial M(a, r, b) is an eigenvector of weight (N_b/N_a)^(it).  For
-1 < beta < infinity there is one symmetric equilibrium state phi_beta,
-given on a torsion generator with reduced denominator b by
+monomial M(a, r, b) is an eigenvector of weight (N_b/N_a)^(it).  The
+symmetric state phi_beta is given on a torsion generator with reduced
+denominator b by
 
     phi_beta(theta_r) = N_b^(-beta) * prod over primes p | b of
                         (1 - N_p^(beta-1)) / (1 - N_p^(-1)),
 
 and extended to monomials by the equilibrium identity, which forces
 phi(M(a, r, b)) = 0 unless aO = bO and otherwise rescales by N_a^beta.
-The extreme low-temperature states are indexed by finite-level
-characters chi: at beta = infinity the value is an exact unit-orbit
-average of pairings, and for finite beta a zeta-normalized Dirichlet
-series evaluated here by bucketing ideals by their residue modulo the
-level, so the series cost is shared across all characters of a level.
+The closed form is evaluated at every finite beta > 0.  For
+0 < beta <= 1 it is the unique equilibrium state; for beta > 1 it is the
+symmetry-group average of the extreme states (criterion 7 checks this at
+beta = 2).  The extreme low-temperature states are indexed by
+finite-level characters chi: at beta = infinity the value is an exact
+unit-orbit average of pairings, and for finite beta a zeta-normalized
+Dirichlet series evaluated here by bucketing ideals by their residue
+modulo the level, so the series cost is shared across all characters of
+a level.
 
 The partition function of the system is the Dedekind zeta function,
 computed as an Euler product with a certified truncation bound.  The
 primes come from one table per process: it is sieved up to the largest
 cutoff requested so far, at most _PRIME_BOUND_MAX, and sliced for every
-smaller cutoff, so a sweep over fields and beta pays for one sieve.
+smaller cutoff, so a sweep over fields and beta pays for one sieve.  The
+product walks the table in blocks of _BLOCK primes, so its temporaries
+stay cache-sized, and sums the log factors of each block into one
+bucket per residue of p modulo |D|, on which the Kronecker character
+chi_D(p) depends: the character is applied to |D| bucket sums, not to
+every prime.
 """
 from __future__ import annotations
 
@@ -73,7 +82,11 @@ class KmsParams:
 def phi_symmetric(r: TorsionClass, beta: Number):
     """The symmetric equilibrium value on theta_r; exact when beta is an
     integer, float otherwise.  beta must be finite and positive, and an
-    exact value with more digits than Python prints raises ValueError."""
+    exact value with more digits than Python prints raises ValueError.
+
+    For 0 < beta <= 1 this is the unique equilibrium state.  For
+    beta > 1 it is the symmetry-group average of the extreme states;
+    criterion 7 checks that at beta = 2."""
     if not 0 < beta < inf:
         raise ValueError(f"beta must be finite and positive, not {beta}")
     b = denominator_element(r)
@@ -203,19 +216,30 @@ def _series_tail(ctx: FieldCtx, bound: int, beta: float) -> float:
 # kept between calls (int64, about 15 MB at this cutoff)
 _PRIME_BOUND_MAX = 30_000_000
 
+# primes per block of zeta_k: its temporaries are 512 KB arrays, not
+# arrays as long as the table
+_BLOCK = 1 << 16
+
 
 def _sieve(limit: int) -> np.ndarray:
     """The primes up to limit as a read-only int64 array, by a sieve of
-    Eratosthenes over the odd numbers alone: index i stands for 2i + 1."""
+    Eratosthenes over the odd numbers alone: index i stands for 2i + 1.
+
+    The table is built in the index array itself: index 0, standing for
+    1, is marked and becomes the slot of 2, so no second table-length
+    array is made."""
     primes = np.array([], dtype=np.int64)
     if limit >= 2:
         odd = np.ones((limit + 1) // 2, dtype=bool)
-        odd[0] = False
         for i in range(1, (isqrt(limit) - 1) // 2 + 1):
             if odd[i]:
                 p = 2 * i + 1
                 odd[p * p // 2::p] = False
-        primes = np.concatenate(([2], 2 * np.flatnonzero(odd) + 1))
+        primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+        del odd
+        primes *= 2
+        primes += 1
+        primes[0] = 2
     primes.flags.writeable = False
     return primes
 
@@ -244,10 +268,45 @@ def zeta_k(ctx: FieldCtx, beta: Number,
            tol: float = 1e-7) -> tuple[float, float]:
     """The Dedekind zeta value at beta > 1 with a certified error bound.
 
-    Euler product over rational primes up to a cutoff chosen from the
-    tolerance, at most _PRIME_BOUND_MAX; the reported bound covers the
-    truncated tail (via |log local factor| <= C * p^(-beta)) plus float
-    accumulation.
+    Euler product over the n rational primes p up to a cutoff P chosen
+    from the tolerance, at most _PRIME_BOUND_MAX.  With x = p^(-beta) and
+    chi the Kronecker character of the discriminant D,
+
+        -log zeta_K = sum_p log1p(-x) + sum_(chi(p)=1) log1p(-x)
+                      + sum_(chi(p)=-1) log1p(x):
+
+    the rational factor, then the L-factor, where a split prime gives
+    another (1 - x)^(-1), an inert one (1 + x)^(-1) and a ramified one
+    nothing.  The table is walked in blocks of _BLOCK primes, so every
+    temporary is a block long.  chi(p) depends on p mod |D| alone, so
+    each block adds its log1p(-x) and its log1p(x) into one bucket per
+    residue (bincount); chi sorts the |D| bucket sums at the end.  Over Q
+    each block's log1p(-x) is summed directly.
+
+    The reported bound is tail plus rounding.  Tail: |log local factor|
+    <= cb * p^(-beta), cb = 2 / (1 - 2^(-beta)), and the sum of that over
+    p > P is at most cb * P^(1-beta) / (beta-1) =: t, so the value is
+    off by at most value * (exp(t) - 1).  Rounding: at most
+    1e-15 * n * value, for every beta > 1.  Proof, with u = 2^(-53):
+      * p converts exactly; pow and log1p are within one unit in the
+        last place, and the relative condition number in x is at most
+        1/log(2) < 1.45 for log1p(-x) and at most 1 for log1p(x), as
+        x <= 1/2, so each term is off by at most 2.5u times its size.
+      * Each of the three sums adds terms of one sign, so every partial
+        sum is at most the full sum in size and each inexact addition
+        errs by at most u times it.  An addition to an exact zero (a
+        fresh bucket, an empty bucket, a fresh total) is exact, and any
+        order of summing k nonzero terms makes k - 1 other additions:
+        bincount's running sums, the bucket totals carried across
+        blocks and the sum over buckets together make at most n - 1 per
+        sum.  Joining the three sums takes two more.
+      * So with S = sum_p |log1p(-x)| + sum_split |log1p(-x)|
+        + sum_inert |log1p(x)|, -log zeta_K is off by at most
+        (n + 3.5) u S, and exp adds u relative to the value.
+      * |log1p(x)| <= |log1p(-x)| and x <= 1/p, so S <= 2 sum_(p <= P)
+        -log(1 - 1/p) <= 2 sum_(p <= 3e7) -log(1 - 1/p) < 6.85.
+      * ((n + 3.5) * 6.85 + 1) u <= 9.0 n u once n >= 12, and n >= 25
+        since P >= 100; 9.0 u < 1e-15.
     """
     bf = float(beta)
     if not 1 < bf < inf:  # NaN fails too
@@ -266,21 +325,25 @@ def zeta_k(ctx: FieldCtx, beta: Number,
                          "product") from None
     prime_bound = min(max(prime_bound, 100), _PRIME_BOUND_MAX)
     primes = _primes_up_to(prime_bound)
-    pw = primes.astype(np.float64) ** (-bf)
-    # log1p overwrites its own input, a copy of -pw that is freed before
-    # chi is built: fewer table-length arrays alive at the peak
-    terms = -pw
-    log_val = -np.sum(np.log1p(terms, out=terms))  # the rational zeta factor
-    del terms
+    period = abs(ctx.discriminant)
+    minus = np.zeros(period)  # sum of log1p(-x) per residue of p mod |D|
+    plus = np.zeros(period)  # sum of log1p(x) per residue of p mod |D|
+    for start in range(0, len(primes), _BLOCK):
+        block = primes[start:start + _BLOCK]
+        x = block.astype(np.float64)
+        np.power(x, -bf, out=x)
+        if ctx.is_rational:
+            minus += np.log1p(np.negative(x, out=x), out=x).sum()
+            continue
+        residues = block % period
+        plus += np.bincount(residues, weights=np.log1p(x), minlength=period)
+        minus += np.bincount(residues, minlength=period,
+                             weights=np.log1p(np.negative(x, out=x), out=x))
+    log_val = -minus.sum()  # the rational zeta factor
     if not ctx.is_rational:
-        disc = ctx.discriminant
-        period = abs(disc)
-        table = np.array([kronecker_symbol(disc, k) for k in range(period)],
-                         dtype=np.int8)
-        chi = table[primes % period]
-        # L-factor: split gets another (1-x)^-1, inert (1+x)^-1, ramified 1
-        log_val += -np.sum(np.log1p(-pw[chi == 1]))
-        log_val += -np.sum(np.log1p(pw[chi == -1]))
+        chi = np.array([kronecker_symbol(ctx.discriminant, k)
+                        for k in range(period)])
+        log_val -= minus[chi == 1].sum() + plus[chi == -1].sum()
     value = float(np.exp(log_val))
     tail = cb * prime_bound ** (1.0 - bf) / (bf - 1.0)
     err = value * (exp(tail) - 1.0) + 1e-15 * len(primes) * value

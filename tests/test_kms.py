@@ -17,8 +17,10 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -323,6 +325,78 @@ def test_zeta_identical_cold_and_after_table_grown():
         v, e = zeta_k.__wrapped__(make_ctx(d), beta, tol=3e-7)
         warm.append(f"{v.hex()} {e.hex()}")
     assert res.stdout.splitlines() == warm
+
+
+def _euler_reference(disc, primes, beta):
+    """The Euler product over the given primes, term by term in Python:
+    the Kronecker symbol of each prime, and one correctly rounded fsum."""
+    terms = []
+    for p in primes:
+        x = float(p) ** -beta
+        terms.append(-math.log1p(-x))
+        if disc != 1:
+            chi = kronecker_symbol(disc, p)
+            if chi:
+                terms.append(-math.log1p(-chi * x))
+    return math.exp(math.fsum(terms))
+
+
+def test_zeta_blocks_and_buckets_against_fsum(monkeypatch):
+    # tolerances that put the cutoff at a few hundred for each beta
+    tols = {1.5: 1.0, 2.0: 0.03, 3.0: 1e-5}
+    seen = []
+    sliced = kms._primes_up_to
+    monkeypatch.setattr(kms, "_primes_up_to",
+                        lambda limit: seen.append(sliced(limit)) or seen[-1])
+    for d in SUPPORTED_D:
+        ctx = make_ctx(d)
+        for beta, tol in tols.items():
+            # several blocks of 7 primes, the last one partial
+            monkeypatch.setattr(kms, "_BLOCK", 7)
+            v, _ = zeta_k.__wrapped__(ctx, beta, tol=tol)
+            primes = seen[-1].tolist()
+            assert 200 < primes[-1] < 1000 and len(primes) % 7, (d, beta)
+            want = _euler_reference(ctx.discriminant, primes, beta)
+            assert abs(v - want) <= 1e-13 * want, (d, beta, v, want)
+            # one block holding the whole table
+            monkeypatch.setattr(kms, "_BLOCK", len(primes))
+            whole, _ = zeta_k.__wrapped__(ctx, beta, tol=tol)
+            assert abs(v - whole) <= 1e-14 * whole, (d, beta, v, whole)
+
+
+def test_zeta_within_err_of_mpmath():
+    # zeta(beta) * L(beta, chi_D), L by Hurwitz zeta over the residues
+    for d in SUPPORTED_D:
+        ctx = make_ctx(d)
+        disc = ctx.discriminant
+        q = abs(disc)
+        for beta in (2, 3):
+            v, err = zeta_k(ctx, beta, tol=1e-7)
+            with mpmath.workdps(30):
+                want = mpmath.zeta(beta)
+                if disc != 1:
+                    want *= sum(kronecker_symbol(disc, a)
+                                * mpmath.zeta(beta, mpmath.mpf(a) / q)
+                                for a in range(1, q + 1)) / mpmath.mpf(q) ** beta
+                assert abs(v - want) <= err, (d, beta, v, want, err)
+
+
+def test_zeta_and_sieve_memory_peaks():
+    # the table stays warm at the cap, so zeta_k sieves nothing here;
+    # its temporaries are a block long, not the table's 1.86e6 primes
+    kms._primes_up_to(kms._PRIME_BOUND_MAX)
+    tracemalloc.start()
+    try:
+        zeta_k.__wrapped__(GAUSS, 2.0)
+        zeta_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        # the bool sieve (15 MB) and the table (15 MB), nothing more
+        kms._sieve(kms._PRIME_BOUND_MAX)
+        sieve_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert zeta_peak < 4e6, zeta_peak
+    assert sieve_peak < 32e6, sieve_peak
 
 
 def test_partial_zeta_exact_and_float():
