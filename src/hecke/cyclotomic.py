@@ -227,10 +227,6 @@ class CycloNum:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def as_rational(self):
-        """The value as a Fraction if it is rational, else None."""
-        return Fraction(self.nums[0], self.den) if self.m == 1 else None
-
     def numeric(self) -> complex:
         """Evaluation at the principal embedding zeta_m = exp(2*pi*i/m)."""
         z = cmath.exp(2j * cmath.pi / self.m)

@@ -30,6 +30,12 @@ stay cache-sized, and sums the log factors of each block into one
 bucket per residue of p modulo |D|, on which the Kronecker character
 chi_D(p) depends: the character is applied to |D| bucket sums, not to
 every prime.
+
+The series run on numpy, which is imported inside the functions that
+sum them: the ideal grid _ideal_arrays (one generator per ideal, read
+off a fundamental sector of the unit rotation), the prime sieve, zeta_k
+and the finite-beta extreme states.  The symmetric state and the ground
+states never load it.
 """
 from __future__ import annotations
 
@@ -40,13 +46,10 @@ from functools import lru_cache
 from math import exp, inf, isqrt, lcm, log, log10, pi
 from typing import Union
 
-import numpy as np
-
 from .cyclotomic import CycloNum
 from .hecke_algebra import (HeckeElement, Monomial, alpha, identity,
                             mul_hecke, sigma_i_beta, theta)
-from .numberfield import (FieldCtx, _ideal_arrays, factor, kronecker_symbol,
-                          make_ctx)
+from .numberfield import FieldCtx, factor, kronecker_symbol, make_ctx
 from .pairing import CharacterPoint, pair_exponent
 from .torsion import TorsionClass, denominator_element, unit_orbit
 
@@ -169,6 +172,39 @@ def kms_identity_check(x: HeckeElement, y: HeckeElement, beta: int) -> bool:
 # the spectrum and truncated Dirichlet series
 
 
+@lru_cache(maxsize=None)
+def _ideal_arrays(d: int, bound: int):
+    """Arrays (norms, x, y) listing exactly one generator x + y*omega for
+    every nonzero ideal of norm <= bound, sorted by norm.
+
+    The generator is chosen in a fixed fundamental sector for the unit
+    rotation: x >= 1, y >= 0 for d in {1, 3} (quarter / sixth sector),
+    the upper half plane plus the positive real axis otherwise.
+    """
+    import numpy as np
+
+    if d == 0:
+        n = np.arange(1, bound + 1, dtype=np.int64)
+        return n, n.copy(), np.zeros_like(n)
+    ctx = make_ctx(d)
+    t, nn = ctx.t, ctx.n
+    ymax = int((bound / (nn - 0.25 * t)) ** 0.5) + 2
+    xmax = int(bound ** 0.5) + 2
+    xmin = -(xmax + (ymax if t else 0)) - 2
+    xs = np.arange(xmin, xmax + 1, dtype=np.int64)
+    ys = np.arange(0, ymax + 1, dtype=np.int64)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    norm = gx * gx + t * gx * gy + nn * gy * gy
+    if len(ctx.units) > 2:
+        sector = (gx >= 1) & (gy >= 0)
+    else:
+        sector = (gy >= 1) | ((gy == 0) & (gx >= 1))
+    keep = sector & (norm >= 1) & (norm <= bound)
+    norms = norm[keep]
+    order = np.argsort(norms, kind="stable")
+    return norms[order], gx[keep][order], gy[keep][order]
+
+
 def ideal_norms_up_to(ctx: FieldCtx, bound: int) -> list[int]:
     """The sorted multiset of ideal norms up to the bound."""
     norms, _, _ = _ideal_arrays(ctx.d, bound)
@@ -183,6 +219,8 @@ def eigenvalue_list(ctx: FieldCtx, bound: int) -> list[float]:
 def partial_zeta(ctx: FieldCtx, bound: int, beta: Number):
     """Truncated Dirichlet series over ideals of norm <= bound; exact
     Fraction for integer beta and modest bounds, float otherwise."""
+    import numpy as np
+
     if beta <= 1:
         raise ValueError("series diverges for beta <= 1")
     norms = ideal_norms_up_to(ctx, bound)
@@ -221,13 +259,15 @@ _PRIME_BOUND_MAX = 30_000_000
 _BLOCK = 1 << 16
 
 
-def _sieve(limit: int) -> np.ndarray:
+def _sieve(limit: int):
     """The primes up to limit as a read-only int64 array, by a sieve of
     Eratosthenes over the odd numbers alone: index i stands for 2i + 1.
 
     The table is built in the index array itself: index 0, standing for
     1, is marked and becomes the slot of 2, so no second table-length
     array is made."""
+    import numpy as np
+
     primes = np.array([], dtype=np.int64)
     if limit >= 2:
         odd = np.ones((limit + 1) // 2, dtype=bool)
@@ -245,16 +285,19 @@ def _sieve(limit: int) -> np.ndarray:
 
 
 # (cutoff, the primes up to it): one pair, replaced by a single assignment,
-# so that a reader never sees a table shorter than its cutoff
-_prime_table = (1, _sieve(1))
+# so that a reader never sees a table shorter than its cutoff.  The cutoff
+# starts below every limit, so the first call sieves.
+_prime_table = (-1, None)
 
 
-def _primes_up_to(limit: int) -> np.ndarray:
-    """The primes up to limit as a read-only int64 array.
+def _primes_up_to(limit: int):
+    """The primes up to limit (>= 0) as a read-only int64 array.
 
     The table is sieved once per process and sliced for every later
     cutoff at or below the largest one met so far; a larger cutoff
     rebuilds it up to exactly that cutoff."""
+    import numpy as np
+
     global _prime_table
     covered, primes = _prime_table
     if limit > covered:
@@ -308,6 +351,8 @@ def zeta_k(ctx: FieldCtx, beta: Number,
       * ((n + 3.5) * 6.85 + 1) u <= 9.0 n u once n >= 12, and n >= 25
         since P >= 100; 9.0 u < 1e-15.
     """
+    import numpy as np
+
     bf = float(beta)
     if not 1 < bf < inf:  # NaN fails too
         raise ValueError(f"zeta requires 1 < beta < inf, not {bf}")
@@ -366,10 +411,12 @@ def phi_extreme_infty(r: TorsionClass, chi: CharacterPoint) -> CycloNum:
 
 
 @lru_cache(maxsize=None)
-def _residue_sums(d: int, bound: int, beta: float, modulus: int) -> np.ndarray:
+def _residue_sums(d: int, bound: int, beta: float, modulus: int):
     """Matrix S with S[i, j] = sum of N_a^(-beta) over ideals of norm <=
     bound whose chosen generator is congruent to i + j*omega modulo the
     rational integer `modulus`."""
+    import numpy as np
+
     norms, xs, ys = _ideal_arrays(d, bound)
     weights = norms.astype(np.float64) ** (-beta)
     idx = (xs % modulus) * modulus + (ys % modulus)
@@ -386,6 +433,8 @@ def phi_extreme_beta(r: TorsionClass, chi: CharacterPoint,
     depends on a modulo the level c, and N_c annihilates O/cO, so the
     sum collapses onto residue buckets indexed modulo N_c.
     """
+    import numpy as np
+
     bf = float(params.beta)
     if not 1 < bf < inf:  # NaN fails too
         raise ValueError(f"extreme states need 1 < beta < inf, not {bf}")

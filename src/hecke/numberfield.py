@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd, isqrt, lcm
 
-import numpy as np
-
 from .errors import UnsupportedFieldError
 
 SUPPORTED_D = (0, 1, 2, 3, 7, 11, 19, 43, 67, 163)
@@ -609,13 +607,6 @@ def _hnf_pair(cols: list[tuple[int, int]]) -> tuple[int, int, int]:
     return a, b, c
 
 
-def lattice_index(gens: list[FieldElem]) -> int:
-    """Index [O : L] of the lattice L spanned over Z by integral gens."""
-    cols = [(g.e0, g.e1) for g in gens]
-    a, _, c = _hnf_pair(cols)
-    return a * c
-
-
 def _norm_form_solutions(v1: FieldElem, v2: FieldElem, m: int) -> list[FieldElem]:
     """All x*v1 + y*v2 (x, y integers) with absolute norm m > 0, for
     integral v1, v2 spanning a lattice of rank two."""
@@ -757,45 +748,13 @@ def factor(a: FieldElem) -> list[tuple[FieldElem, int]]:
 
 
 # ---------------------------------------------------------------------------
-# ideal enumeration (one generator per ideal, vectorized)
-
-
-@lru_cache(maxsize=None)
-def _ideal_arrays(d: int, bound: int):
-    """Arrays (norms, x, y) listing exactly one generator x + y*omega for
-    every nonzero ideal of norm <= bound, sorted by norm.
-
-    The generator is chosen in a fixed fundamental sector for the unit
-    rotation: x >= 1, y >= 0 for d in {1, 3} (quarter / sixth sector),
-    the upper half plane plus the positive real axis otherwise.
-    """
-    if d == 0:
-        n = np.arange(1, bound + 1, dtype=np.int64)
-        return n, n.copy(), np.zeros_like(n)
-    ctx = make_ctx(d)
-    t, nn = ctx.t, ctx.n
-    ymax = int((bound / (nn - 0.25 * t)) ** 0.5) + 2
-    xmax = int(bound ** 0.5) + 2
-    xmin = -(xmax + (ymax if t else 0)) - 2
-    xs = np.arange(xmin, xmax + 1, dtype=np.int64)
-    ys = np.arange(0, ymax + 1, dtype=np.int64)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    norm = gx * gx + t * gx * gy + nn * gy * gy
-    if len(ctx.units) > 2:
-        sector = (gx >= 1) & (gy >= 0)
-    else:
-        sector = (gy >= 1) | ((gy == 0) & (gx >= 1))
-    keep = sector & (norm >= 1) & (norm <= bound)
-    norms = norm[keep]
-    order = np.argsort(norms, kind="stable")
-    return norms[order], gx[keep][order], gy[keep][order]
+# ideal enumeration
 
 
 def ideals_up_to(ctx: FieldCtx, bound: int) -> list[FieldElem]:
     """The canonical generators of all nonzero integral ideals of norm
-    <= bound, sorted by _ideal_key."""
-    if bound < 1:
-        return []
-    _, xs, ys = _ideal_arrays(ctx.d, bound)
-    return sorted((canonical_generator(ctx.elem(int(x), int(y)))
-                   for x, y in zip(xs, ys)), key=_ideal_key)
+    <= bound, sorted by _ideal_key: the elements of each norm up to the
+    bound, one canonical generator per associate class."""
+    gens = {canonical_generator(x)
+            for m in range(1, bound + 1) for x in elements_of_norm(ctx, m)}
+    return sorted(gens, key=_ideal_key)

@@ -91,15 +91,6 @@ class GroupElem:
         return f"({format_element(self.y)}; {format_element(self.x)})"
 
 
-def identity_elem(ctx: FieldCtx) -> GroupElem:
-    return GroupElem(ctx.zero, ctx.one)
-
-
-def in_subgroup(g: GroupElem) -> bool:
-    """Membership in P_O: integral translation part, unit scaling part."""
-    return g.y.is_integral and g.x.is_unit
-
-
 # ---------------------------------------------------------------------------
 # interned right-coset keys, one universe per field
 
@@ -201,10 +192,6 @@ class CosetFunction:
                 q = Fraction(q)
                 if q:
                     self.data[i] = q
-
-    def value_at(self, g: GroupElem) -> Fraction:
-        """The value on the right coset of g."""
-        return self.data.get(_universe(self.ctx).elem_id(g), Fraction(0))
 
     def support(self) -> list[GroupElem]:
         uni = _universe(self.ctx)

@@ -28,6 +28,11 @@ def embed(v: CycloNum) -> complex:
     return sum(float(c) * z ** j for j, c in enumerate(v.coeffs))
 
 
+def as_rational(v: CycloNum):
+    """The value as a Fraction if it is rational, else None."""
+    return Fraction(v.nums[0], v.den) if v.m == 1 else None
+
+
 def test_roots_of_unity_have_exact_order():
     for m in range(1, 31):
         z = root_of_unity(m)
@@ -142,7 +147,7 @@ def _canonical(v, want):
         ks = [1 + t * (m // p) for t in range(p)]
         assert any(v.galois(k) != v for k in ks if gcd(k, m) == 1), (v, p)
     if m == 1:
-        q = v.as_rational()
+        q = as_rational(v)
         assert v == q and hash(v) == hash(q)
     assert _close(v.numeric(), want) and _close(embed(v), want)
     return v
@@ -203,12 +208,12 @@ def test_conjugate_matches_complex_conjugation():
 
 def test_rational_detection_and_scalars():
     v = root_of_unity(5) * 0
-    assert v.is_zero and v.as_rational() == 0
+    assert v.is_zero and as_rational(v) == 0
     w = CycloNum.rational(Fraction(3, 4))
-    assert w.as_rational() == Fraction(3, 4)
-    assert (w * 2).as_rational() == Fraction(3, 2)
-    assert (w / 3).as_rational() == Fraction(1, 4)
-    assert root_of_unity(5).as_rational() is None
+    assert as_rational(w) == Fraction(3, 4)
+    assert as_rational(w * 2) == Fraction(3, 2)
+    assert as_rational(w / 3) == Fraction(1, 4)
+    assert as_rational(root_of_unity(5)) is None
     assert (Fraction(1, 2) * root_of_unity(4)).numeric() == pytest.approx(0.5j)
 
 
@@ -269,6 +274,45 @@ def test_library_runs_without_sympy():
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def test_exact_paths_run_without_numpy():
+    # numpy sums the float series alone: the CLI import and every exact
+    # computation leave it unloaded, and zeta_k loads it on first use
+    code = (
+        "import sys\n"
+        "import hecke.cli\n"
+        "from hecke.hecke_algebra import mu, mul_hecke, theta\n"
+        "from hecke.kms import phi_extreme_infty, phi_symmetric, zeta_k\n"
+        "from hecke.numberfield import make_ctx\n"
+        "from hecke.oracle import verify_equivalence\n"
+        "from hecke.pairing import CharacterPoint\n"
+        "from hecke.symmetry import (SymmetryElem, compare_actions,\n"
+        "                            regularity_check)\n"
+        "from hecke.torsion import torsion_points\n"
+        "q, ctx = make_ctx(0), make_ctx(1)\n"
+        "assert not verify_equivalence(q, 3)['failed']\n"
+        "assert regularity_check(ctx.elem(5))['all_ok']\n"
+        "chi = CharacterPoint.make(ctx, 5, 1)\n"
+        "r = torsion_points(ctx.elem(5))[1]\n"
+        "compare_actions(r, chi, SymmetryElem.make(ctx, 5, 2))\n"
+        "phi_extreme_infty(r, chi)\n"
+        "phi_symmetric(r, 2)\n"
+        "phi_symmetric(r, 2.5)\n"
+        "mul_hecke(mu(ctx.elem(1, 1)), theta(ctx.one / 2))\n"
+        "assert 'numpy' not in sys.modules\n"
+        "value, err = zeta_k(ctx, 2.0)\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(value.hex(), err.hex())\n")
+    src = os.path.dirname(os.path.dirname(hecke.cyclotomic.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    from hecke.kms import zeta_k
+    from hecke.numberfield import make_ctx
+    value, err = zeta_k(make_ctx(1), 2.0)
+    assert res.stdout.split() == [value.hex(), err.hex()]
 
 
 def test_stored_at_the_conductor():

@@ -32,8 +32,9 @@ from hecke.kms import (KmsParams, eigenvalue_list, ideal_norms_up_to,
                        kms_identity_check, partial_zeta, phi_extreme_beta,
                        phi_extreme_infty, phi_symmetric,
                        phi_symmetric_element, phi_symmetric_monomial, zeta_k)
-from hecke.numberfield import (SUPPORTED_D, canonical_generator, factor,
-                               ideals_up_to, kronecker_symbol, make_ctx)
+from hecke.numberfield import (SUPPORTED_D, _ideal_key, canonical_generator,
+                               factor, ideals_up_to, kronecker_symbol,
+                               make_ctx)
 from hecke.pairing import CharacterPoint
 from hecke.symmetry import level_group
 from hecke.torsion import torsion_class, torsion_points
@@ -194,7 +195,7 @@ def test_kms_identity_rejects_bad_beta():
 
 def test_ideal_counts_against_divisor_sums():
     # a_K(n) = sum of the Kronecker character over divisors of n, for the
-    # norm arrays and for the exact ideal list built from them
+    # norm arrays and for the exact ideal list
     for d in SUPPORTED_D:
         ctx = make_ctx(d)
         bound = 120
@@ -210,6 +211,20 @@ def test_ideal_counts_against_divisor_sums():
                 want = sum(kronecker_symbol(ctx.discriminant, m)
                            for m in range(1, n + 1) if n % m == 0)
             assert counts[n] == exact[n] == want, (d, n)
+
+
+def test_ideal_grid_matches_exact_ideal_list():
+    # the two routes to the ideals: canonical generators read off the
+    # numpy grid of the series, and the exact list of numberfield
+    for d in SUPPORTED_D:
+        ctx = make_ctx(d)
+        for bound in (1, 2, 3, 4, 10, 57, 120, 299, 300):
+            norms, xs, ys = kms._ideal_arrays(d, bound)
+            grid = [canonical_generator(ctx.elem(int(x), int(y)))
+                    for x, y in zip(xs, ys)]
+            assert [g.norm() for g in grid] == norms.tolist()
+            assert sorted(grid, key=_ideal_key) == ideals_up_to(ctx, bound), \
+                (d, bound)
 
 
 def test_eigenvalue_list_frozen():

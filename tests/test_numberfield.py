@@ -18,9 +18,18 @@ from hecke.numberfield import (
     FieldElem, SUPPORTED_D, canonical_generator, ctx_from_tag,
     divide_exact, elements_of_norm, factor, factor_int, format_element,
     frac_ideal_parts, gcd_gen, ideals_up_to, is_coprime, kronecker_symbol,
-    lattice_index, make_ctx, parse_element, prime_elements_above, reduce_mod,
-    residues, splitting_type)
+    make_ctx, parse_element, prime_elements_above, reduce_mod, residues,
+    splitting_type)
 from hecke.torsion import reduce01
+
+
+def lattice_index(gens):
+    """Oracle: the index [O : L] of the lattice L spanned over Z by
+    integral gens, as the gcd of the 2x2 minors of their coordinates in
+    the basis (1, omega)."""
+    cols = [(g.e0, g.e1) for g in gens]
+    return int_gcd(*(x1 * y2 - x2 * y1 for i, (x1, y1) in enumerate(cols)
+                     for x2, y2 in cols[i + 1:]))
 
 
 def brute_units(ctx):
