@@ -16,7 +16,8 @@ variable HECKE_LEVEL_MAX caps the level, level norm or series bound of
 every enumeration-heavy command (exit 2 above the cap).  Without it each
 of them has a default cap, set below from measured cost: verify --level
 6; finite-beta kms --extreme --bound 10**6 and level norm 2000;
-galois-compare level norm 10**4; regularity level norm 200.
+kms --extreme --beta inf and galois-compare level norm 10**4; regularity
+level norm 200.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ def _emit(data: dict) -> None:
 def _field(tag: str) -> FieldCtx:
     try:
         return ctx_from_tag(tag)
-    except (ValueError, KeyError):
+    except ValueError:
         raise click.UsageError(f"unknown field tag {tag!r}; use Q or d<k> "
                                "with k in 1,2,3,7,11,19,43,67,163")
 
@@ -79,15 +80,10 @@ def _torsion(ctx: FieldCtx, text: str) -> TorsionClass:
         raise click.UsageError(f"bad torsion class {text!r}: {exc}")
 
 
-def _rat_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else \
-        f"{q.numerator}/{q.denominator}"
-
-
 def _cyclo_json(v: CycloNum) -> dict:
     z = v.numeric()
     return {
-        "cyclotomic": {"m": v.m, "coeffs": [_rat_str(c) for c in v.coeffs]},
+        "cyclotomic": {"m": v.m, "coeffs": [str(c) for c in v.coeffs]},
         "numeric": [z.real, z.imag],
     }
 
@@ -222,7 +218,7 @@ def mul_cmd(field_tag: str, left: str, right: str) -> None:
             "a": format_element(mono.a),
             "r": format_element(mono.r.rep),
             "b": format_element(mono.b),
-            "coeff": {"exact": _rat_str(coeff), "numeric": float(coeff)},
+            "coeff": {"exact": str(coeff), "numeric": float(coeff)},
         })
     _emit({"field": ctx.tag, "terms": terms})
 
@@ -259,7 +255,7 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
                     "character points)")
             val = phi_symmetric(r, bval)
             if isinstance(val, Fraction):
-                _emit({"beta": beta_text, "exact": _rat_str(val),
+                _emit({"beta": beta_text, "exact": str(val),
                        "field": ctx.tag, "numeric": float(val)})
             else:
                 _emit({"beta": beta_text, "field": ctx.tag,
@@ -269,6 +265,10 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
             raise click.UsageError("--extreme needs --level")
         chi = CharacterPoint.make(ctx, _elem(ctx, level), _elem(ctx, w_text))
         if beta_text in ("inf", "infinity"):
+            # cyclotomic reduction at a conductor up to N(c) sets the cost;
+            # default cap: Q level 9240 takes 3.6 s, 10010 6 s and 30030
+            # 58 s, d1 level 1000 (norm 10**6) 0.12 s
+            _level_guard(chi.level_norm, 10 ** 4)
             out = _cyclo_json(phi_extreme_infty(r, chi))
             out.update({"beta": "inf", "field": ctx.tag,
                         "level": format_element(chi.c),
@@ -320,7 +320,7 @@ def pair_cmd(field_tag: str, level: str, w_text: str, r_text: str) -> None:
     except ValueError as exc:
         raise click.ClickException(str(exc))
     z = cmath.exp(2j * cmath.pi * float(e))
-    _emit({"exponent": _rat_str(e), "field": ctx.tag,
+    _emit({"exponent": str(e), "field": ctx.tag,
            "numeric": [z.real, z.imag], "order": e.denominator})
 
 
@@ -396,18 +396,7 @@ def regularity_cmd(field_tag: str, level: str) -> None:
         rep = regularity_check(lvl)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    _emit({
-        "all_ok": rep["all_ok"],
-        "counts_match": rep["counts_match"],
-        "extreme_classes": rep["extreme_classes"],
-        "field": ctx.tag,
-        "free": rep["free"],
-        "group_order": rep["group_order"],
-        "level": format_element(rep["level"]),
-        "orbits_align": rep["orbits_align"],
-        "transitive": rep["transitive"],
-        "transport_ok": rep["transport_ok"],
-    })
+    _emit({**rep, "level": format_element(rep["level"])})
     if not rep["all_ok"]:
         raise SystemExit(1)
 

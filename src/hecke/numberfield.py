@@ -10,8 +10,8 @@ stored as reduced integers (e0 + e1*omega)/q over the basis (1, omega),
 so all ring operations, norms, residue systems, gcds and factorizations
 here are exact; the engine, torsion, the pairing and the coset oracle
 all share this one core.  Because the class number is one every ideal
-is principal, which is what makes the generator searches below
-terminate.
+is principal, so a shortest nonzero vector of an ideal's lattice
+generates it: that is how gcd_gen finds a generator.
 """
 from __future__ import annotations
 
@@ -99,7 +99,10 @@ def factor_int(n: int) -> dict[int, int]:
             if _is_probable_prime(m):
                 out[m] = out.get(m, 0) + 1
             else:
-                d = _pollard_rho(m)
+                # rho needs about sqrt(p) steps on p*p, the norm of an inert p
+                d = isqrt(m)
+                if d * d != m:
+                    d = _pollard_rho(m)
                 stack.extend((d, m // d))
     return out
 
@@ -424,19 +427,13 @@ class FieldElem:
 
 
 def format_element(x: FieldElem) -> str:
-    def rat(q: Fraction) -> str:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
     c0, c1 = x.c0, x.c1
     if c1 == 0:
-        return rat(c0)
-    wpart = "w" if abs(c1) == 1 else f"{rat(abs(c1))}*w"
-    if c1 < 0:
-        wpart = "-" + wpart
+        return str(c0)
+    w = "w" if abs(c1) == 1 else f"{abs(c1)}*w"
     if c0 == 0:
-        return wpart
-    sep = " - " if c1 < 0 else " + "
-    return rat(c0) + sep + wpart.lstrip("-")
+        return "-" + w if c1 < 0 else w
+    return f"{c0} {'-' if c1 < 0 else '+'} {w}"
 
 
 def parse_element(text: str, ctx: FieldCtx) -> FieldElem:
@@ -538,17 +535,16 @@ def reduce_mod(x: FieldElem, a: FieldElem) -> FieldElem:
 def residues(a: FieldElem) -> tuple[FieldElem, ...]:
     """A transversal of O/aO, of size exactly norm(a).
 
-    For quadratic fields aO has the Hermite basis (A, B + C*omega), so
-    {i + j*omega : 0 <= i < A, 0 <= j < C} is a transversal (Cohen, A
-    Course in Computational Algebraic Number Theory, GTM 138, 2.4).
+    For quadratic fields aO has the Hermite basis (A, B + C*omega) from
+    _hermite, so {i + j*omega : 0 <= i < A, 0 <= j < C} reduced mod a is
+    a transversal (Cohen, GTM 138, 2.4).
     """
     if not a.is_integral or a.is_zero:
         raise ValueError("residues require a nonzero integral element")
     ctx = a.ctx
     if ctx.is_rational:
         return tuple(ctx.elem(k) for k in range(a.norm()))
-    cols = [(g.e0, g.e1) for g in (a, a * ctx.omega)]
-    h_a, _, h_c = _hnf_pair(cols)
+    h_a, _, h_c = _hermite((a, a * ctx.omega))
     return tuple(reduce_mod(ctx.elem(i, j), a)
                  for i in range(h_a) for j in range(h_c))
 
@@ -573,78 +569,51 @@ def frac_ideal_parts(x: FieldElem) -> tuple[FieldElem, FieldElem]:
 # lattices and gcds
 
 
-def _hnf_pair(cols: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """Upper-triangular basis ((a, b), (0, c)) with a, c > 0 for the rank-2
-    lattice spanned by integer column vectors; returned as (a, b, c)."""
-    # reduce to two columns by repeated gcd elimination on the second row
-    work = [c for c in cols if c != (0, 0)]
-    if not work:
-        raise ValueError("zero lattice")
-    # eliminate second coordinates down to one column with nonzero y
-    while True:
-        nz = [i for i, (_, y) in enumerate(work) if y != 0]
-        if len(nz) <= 1:
-            break
-        i, j = nz[0], nz[1]
-        (x1, y1), (x2, y2) = work[i], work[j]
-        if abs(y1) < abs(y2) or (abs(y1) == abs(y2)):
-            i, j = j, i
-            (x1, y1), (x2, y2) = (x2, y2), (x1, y1)
-        # now |y1| >= |y2| > 0
-        q = y1 // y2
-        work[i] = (x1 - q * x2, y1 - q * y2)
-    ys = [(x, y) for (x, y) in work if y != 0]
-    xs = [x for (x, y) in work if y == 0 and x != 0]
-    if not ys or not xs:
+def _hermite(gens) -> tuple[int, int, int]:
+    """The Hermite basis (A, B + C*omega) of the rank-2 lattice that the
+    integral elements gens span, as (A, B, C) with A, C > 0 and 0 <= B < A.
+
+    A*C is the index, the gcd of the 2x2 minors of the coordinate
+    vectors; C comes from Euclid on the omega-coordinates, carrying the
+    first coordinate along, and A = index / C.
+    """
+    vecs = [(g.e0, g.e1) for g in gens]
+    index = _int_gcd(*(x1 * y2 - x2 * y1 for i, (x1, y1) in enumerate(vecs)
+                       for x2, y2 in vecs[i + 1:]))
+    if not index:
         raise ValueError("lattice has rank < 2")
-    b, c = ys[0]
+    b, c = 0, 0
+    for x, y in vecs:
+        while y:
+            k = c // y
+            b, c, x, y = x, y, b - k * x, c - k * y
     if c < 0:
         b, c = -b, -c
-    a = 0
-    for x in xs:
-        a = _int_gcd(a, abs(x))
-    b %= a
-    return a, b, c
-
-
-def _norm_form_solutions(v1: FieldElem, v2: FieldElem, m: int) -> list[FieldElem]:
-    """All x*v1 + y*v2 (x, y integers) with absolute norm m > 0, for
-    integral v1, v2 spanning a lattice of rank two."""
-    # positive definite: A x^2 + B xy + C y^2 = m, with integer coefficients
-    A = int(v1.field_norm())
-    B = int((v1 * v2.conj()).trace())
-    C = int(v2.field_norm())
-    disc = 4 * A * C - B * B
-    if disc <= 0:
-        raise ValueError("norm form is not definite")
-    out = []
-    ymax = isqrt(4 * A * m // disc) + 1
-    for y in range(-ymax, ymax + 1):
-        # solve A x^2 + (B y) x + (C y^2 - m) = 0 over the integers
-        dd = B * B * y * y - 4 * A * (C * y * y - m)
-        if dd < 0:
-            continue
-        r = isqrt(dd)
-        if r * r != dd:
-            continue
-        for sgn in (1, -1):
-            x, rem = divmod(-B * y + sgn * r, 2 * A)
-            if not rem:
-                cand = x * v1 + y * v2
-                if cand.norm() == m:
-                    out.append(cand)
-            if r == 0:
-                break
-    return out
+    a = index // c
+    return a, b % a, c
 
 
 def elements_of_norm(ctx: FieldCtx, m: int) -> list[FieldElem]:
-    """All integral elements of absolute norm m (m > 0)."""
+    """All integral elements x + y*omega of absolute norm m (m > 0), by
+    increasing y, the larger x first."""
     if m <= 0:
         raise ValueError("norm must be positive")
     if ctx.is_rational:
         return [ctx.elem(m), ctx.elem(-m)]
-    return _norm_form_solutions(ctx.one, ctx.omega, m)
+    t, disc = ctx.t, -ctx.discriminant
+    out = []
+    ymax = isqrt(4 * m // disc)
+    for y in range(-ymax, ymax + 1):
+        # x^2 + t*x*y + n*y^2 = m has discriminant 4m - |D|*y^2
+        dd = 4 * m - disc * y * y
+        r = isqrt(dd)
+        if r * r != dd:
+            continue
+        for s in ((r, -r) if r else (0,)):
+            x, odd = divmod(s - t * y, 2)
+            if not odd:
+                out.append(ctx.elem(x, y))
+    return out
 
 
 @lru_cache(maxsize=1 << 14)
@@ -652,10 +621,10 @@ def gcd_gen(a: FieldElem, b: FieldElem) -> FieldElem:
     """Canonical generator of the ideal aO + bO (inputs integral).
 
     The norm of aO + bO divides N(a) and N(b), so coprime norms give 1.
-    Otherwise the ideal is realized as the Z-lattice spanned by a,
-    a*omega, b, b*omega; its index in O is computed from a Hermite basis
-    and a generator is found by searching the lattice for an element of
-    that norm.  Class number one guarantees the search succeeds.
+    Otherwise the ideal is the Z-lattice spanned by a, a*omega, b and
+    b*omega.  It is principal, gO, and N(g*x) = N(g)*N(x), so its
+    shortest nonzero vectors are the generators; Lagrange-Gauss reduction
+    of its Hermite basis finds one (Cohen, GTM 138, 1.3).
     """
     if not (a.is_integral and b.is_integral):
         raise ValueError("gcd requires integral elements")
@@ -670,17 +639,15 @@ def gcd_gen(a: FieldElem, b: FieldElem) -> FieldElem:
         return ctx.elem(_int_gcd(a.e0, b.e0))
     if _int_gcd(a.norm(), b.norm()) == 1:
         return ctx.one
-    gens = [a, a * ctx.omega, b, b * ctx.omega]
-    cols = [(g.e0, g.e1) for g in gens]
-    h_a, h_b, h_c = _hnf_pair(cols)
-    index = h_a * h_c
-    v1 = ctx.elem(h_a)
-    v2 = ctx.elem(h_b, h_c)
-    sols = _norm_form_solutions(v1, v2, index)
-    if not sols:
-        raise ArithmeticError(
-            f"no generator of norm {index} in {a}, {b} lattice")
-    return canonical_generator(sols[0])
+    h_a, h_b, h_c = _hermite((a, a * ctx.omega, b, b * ctx.omega))
+    u, v = ctx.elem(h_a), ctx.elem(h_b, h_c)
+    while True:
+        # subtract from u the multiple of v nearest to its projection on v
+        nv = v.norm()
+        u -= round((u * v.conj()).trace() / (2 * nv)) * v
+        if u.norm() >= nv:
+            return canonical_generator(v)
+        u, v = v, u
 
 
 def is_coprime(a: FieldElem, b: FieldElem) -> bool:

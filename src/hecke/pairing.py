@@ -17,7 +17,7 @@ from math import floor
 
 from .cyclotomic import CycloNum, from_exponent
 from .numberfield import (FieldCtx, FieldElem, canonical_generator,
-                          divide_exact, format_element, is_coprime,
+                          divide_exact, factor, format_element, is_coprime,
                           reduce_mod, residues)
 from .torsion import TorsionClass, denominator_element, torsion_points
 
@@ -171,8 +171,6 @@ def character_laws(chi: CharacterPoint) -> dict:
 
 def _proper_divisors(c: FieldElem) -> list[FieldElem]:
     """Canonical generators of the proper divisor ideals of cO."""
-    from .numberfield import factor
-
     out = [c.ctx.one]
     for prime, mult in factor(c):
         powers = [c.ctx.one]

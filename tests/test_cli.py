@@ -221,6 +221,8 @@ def test_level_cap_env():
               "--bound", "5", "--r", "(1)/(2001)"], "2000", "3000"),
             (["galois-compare", "--field", "d163", "--level", "101",
               "--j", "2", "--r", "(1)/(101)"], "10000", "20000"),
+            (["kms", "--field", "d163", "--beta", "inf", "--extreme",
+              "--level", "101", "--r", "(1)/(101)"], "10000", "20000"),
             (["regularity", "--field", "d163", "--level", "41"], "200",
              None)):
         res = run_fail(*args, env={"HECKE_LEVEL_MAX": None})

@@ -7,8 +7,9 @@ residue systems, exhaustive divisor checks for gcds).
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
-from math import gcd as int_gcd, sqrt
+from math import gcd as int_gcd, isqrt, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,8 +279,47 @@ def test_gcd_divisibility_properties():
             assert lattice_index(gens) == g.norm()
 
 
+def test_gcd_against_norm_reference():
+    # reference: the index I of aO + bO is the norm of its generator, and
+    # the elements of norm I dividing a and b are exactly its generators
+    rng = random.Random(14)
+    for d in SUPPORTED_D:
+        ctx = make_ctx(d)
+        gbox = isqrt(10 ** 4 // max(ctx.n, 1))
+
+        def rand(box):
+            return ctx.elem(rng.randint(-box, box),
+                            0 if ctx.is_rational else rng.randint(-box, box))
+
+        for _ in range(60):
+            g = x = y = ctx.zero
+            while g.is_zero or x.is_zero or y.is_zero:
+                g, x, y = rand(gbox), rand(30), rand(30)
+            a, b = g * x, g * y
+            index = (int_gcd(a.e0, b.e0) if ctx.is_rational else
+                     lattice_index([a, a * ctx.omega, b, b * ctx.omega]))
+            ref = {canonical_generator(h) for h in elements_of_norm(ctx, index)
+                   if divide_exact(a, h) is not None
+                   and divide_exact(b, h) is not None}
+            assert ref == {gcd_gen.__wrapped__(a, b)}, (d, a, b)
+
+
+def test_gcd_at_a_large_split_prime_is_fast():
+    # a shortest-vector search is logarithmic in the norm; a norm-form
+    # search over the lattice would take about sqrt(p) steps
+    ctx = make_ctx(1)
+    p = 10 ** 12 + 61
+    z = next(z for z in (pow(c, (p - 1) // 4, p) for c in range(2, 100))
+             if z * z % p == p - 1)
+    start = time.perf_counter()
+    g = gcd_gen.__wrapped__(ctx.elem(p), ctx.elem(z, 1))
+    assert time.perf_counter() - start < 0.1
+    assert g.norm() == p
+    assert divide_exact(ctx.elem(z, 1), g) is not None
+
+
 def test_gcd_in_non_euclidean_field():
-    # d=19 has no Euclidean algorithm; the lattice search must still work
+    # d=19 has no Euclidean algorithm; lattice reduction must still work
     ctx = make_ctx(19)
     w = ctx.omega
     a = w * ctx.elem(2) + 3          # some composite element
@@ -374,6 +414,11 @@ def test_factor_int():
     assert factor_int(big) == {1000003: 1, 998117: 1}
     with pytest.raises(ValueError):
         factor_int(0)
+    # the norm of an inert prime p is p*p, which rho splits only slowly
+    p = 10 ** 14 + 31
+    start = time.perf_counter()
+    assert factor_int(p * p) == {p: 2}
+    assert time.perf_counter() - start < 0.5
 
 
 def test_ideals_up_to_counts():
