@@ -15,9 +15,9 @@ option may come from the file, and explicit flags win.  The environment
 variable HECKE_LEVEL_MAX caps the level, level norm or series bound of
 every enumeration-heavy command (exit 2 above the cap).  Without it each
 of them has a default cap, set below from measured cost: verify --level
-6; finite-beta kms --extreme --bound 10**6 and level norm 2000;
-kms --extreme --beta inf and galois-compare level norm 10**4; regularity
-level norm 200.
+6; finite-beta kms --extreme 10**6 on the larger of --bound and the
+level norm; kms --extreme --beta inf and galois-compare level norm
+10**4; regularity level norm 200.
 """
 from __future__ import annotations
 
@@ -276,11 +276,10 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
             _emit(out)
             return
         kp = KmsParams(beta=float(beta_text), bound=bound)
-        # default cap: bound 10**6 peaks at 118 MB in d1, 3*10**6 at 289 MB
-        _level_guard(kp.bound, 10 ** 6)
-        # the residue sums are an N(c) x N(c) table
-        # default cap: level norm 2003 peaks at 124 MB, 3001 at 238 MB
-        _level_guard(chi.level_norm, 2000)
+        # the ideal grid grows linearly with the bound, the residue sums
+        # and phases with N(c); default cap: bound and level norm 10**6
+        # take 0.7-0.9 s and 117 MB in d1, 0.8-1.1 s and 149 MB in d3
+        _level_guard(max(kp.bound, chi.level_norm), 10 ** 6)
         val, err = phi_extreme_beta(r, chi, kp)
         _emit({"beta": beta_text, "bound": kp.bound, "err": err,
                "field": ctx.tag, "level": format_element(chi.c),

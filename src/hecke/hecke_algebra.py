@@ -184,8 +184,9 @@ def _alpha_dict(ctx: FieldCtx, a: FieldElem, F: tuple) -> tuple:
     if a.is_unit:
         return F
     out: dict = {}
+    xs = residues(a)
     for t, n in F[1].items():
-        for x in residues(a):
+        for x in xs:
             k = orbit_canonical(torsion_class((t.rep + x) / a))
             out[k] = out.get(k, 0) + n
     return F[0] * a.norm(), {k: v for k, v in out.items() if v}

@@ -9,16 +9,17 @@ denominator b by
                         (1 - N_p^(beta-1)) / (1 - N_p^(-1)),
 
 and extended to monomials by the equilibrium identity, which forces
-phi(M(a, r, b)) = 0 unless aO = bO and otherwise rescales by N_a^beta.
+phi(M(a, r, b)) = 0 unless aO = bO; a canonical monomial has coprime
+slots, so that leaves the theta part, a = b = 1.
 The closed form is evaluated at every finite beta > 0.  For
 0 < beta <= 1 it is the unique equilibrium state; for beta > 1 it is the
 symmetry-group average of the extreme states (criterion 7 checks this at
 beta = 2).  The extreme low-temperature states are indexed by
 finite-level characters chi: at beta = infinity the value is an exact
 unit-orbit average of pairings, and for finite beta a zeta-normalized
-Dirichlet series evaluated here by bucketing ideals by their residue
-modulo the level, so the series cost is shared across all characters of
-a level.
+Dirichlet series evaluated here by bucketing ideals by their class in
+O/cO, N(c) buckets on the Hermite basis of cO, so the series cost is
+shared across all characters of a level.
 
 The partition function of the system is the Dedekind zeta function,
 computed as an Euler product with a certified truncation bound.  The
@@ -47,9 +48,9 @@ from math import exp, inf, isqrt, lcm, log, log10, pi
 from typing import Union
 
 from .cyclotomic import CycloNum
-from .hecke_algebra import (HeckeElement, Monomial, alpha, identity,
-                            mul_hecke, sigma_i_beta, theta)
-from .numberfield import FieldCtx, factor, kronecker_symbol, make_ctx
+from .hecke_algebra import HeckeElement, Monomial, mul_hecke, sigma_i_beta
+from .numberfield import (FieldCtx, _hermite, factor, kronecker_symbol,
+                          make_ctx)
 from .pairing import CharacterPoint, pair_exponent
 from .torsion import TorsionClass, denominator_element, unit_orbit
 
@@ -126,27 +127,13 @@ def phi_symmetric(r: TorsionClass, beta: Number):
 def phi_symmetric_monomial(m: Monomial, beta: Number):
     """The symmetric state on a basis monomial.
 
-    Vanishes unless the two isometry slots generate the same ideal; on
-    M(a, r, a) the equilibrium identity gives N_a^beta times the value
-    on the commutative element theta_r * alpha_a(1).
+    Vanishes unless the two isometry slots generate the same ideal.
+    Monomial.make divides out the common factor of the slots, so they
+    agree only on the theta part, where the value is that on theta_r.
     """
-    if not m.a == m.b:
-        return Fraction(0) if isinstance(beta, int) else 0.0
-    ctx = m.ctx
-    if m.a.is_unit:
+    if m.is_theta_type:
         return phi_symmetric(m.r, beta)
-    na = int(m.a.norm())
-    x = mul_hecke(theta(m.r.rep), alpha(m.a, identity(ctx)))
-    total = None
-    for term, q in x.terms.items():
-        assert term.is_theta_type
-        piece = q * phi_symmetric(term.r, beta)
-        total = piece if total is None else total + piece
-    if total is None:
-        return Fraction(0) if isinstance(beta, int) else 0.0
-    if isinstance(beta, int):
-        return Fraction(na) ** beta * total
-    return float(na) ** float(beta) * float(total)
+    return Fraction(0) if isinstance(beta, int) else 0.0
 
 
 def phi_symmetric_element(x: HeckeElement, beta: Number):
@@ -411,17 +398,31 @@ def phi_extreme_infty(r: TorsionClass, chi: CharacterPoint) -> CycloNum:
 
 
 @lru_cache(maxsize=None)
-def _residue_sums(d: int, bound: int, beta: float, modulus: int):
-    """Matrix S with S[i, j] = sum of N_a^(-beta) over ideals of norm <=
-    bound whose chosen generator is congruent to i + j*omega modulo the
-    rational integer `modulus`."""
+def _residue_sums(d: int, bound: int, beta: float, basis: tuple[int, int, int]):
+    """Vector S of length N(c) with S[i*C + j] = sum of N_a^(-beta) over
+    ideals of norm <= bound whose chosen generator is congruent to
+    i + j*omega modulo cO, where basis = (A, B, C) is the Hermite basis
+    (A, B + C*omega) of cO; over Q it is (|c|, 0, 1).
+
+    A generator x + y*omega, y >= 0, lies in the class of
+    (x - k*B) + (y - k*C)*omega with k = y // C, taken mod A."""
     import numpy as np
 
+    a, b, c = basis
     norms, xs, ys = _ideal_arrays(d, bound)
-    weights = norms.astype(np.float64) ** (-beta)
-    idx = (xs % modulus) * modulus + (ys % modulus)
-    flat = np.bincount(idx, weights=weights, minlength=modulus * modulus)
-    return flat.reshape(modulus, modulus)
+    # in place after three grid-long arrays: each fresh one costs about
+    # as much as the arithmetic on it
+    k = ys // c
+    idx = k * b
+    np.subtract(xs, idx, out=idx)
+    idx %= a
+    idx *= c
+    idx += ys
+    k *= c
+    idx -= k
+    weights = norms.astype(np.float64)
+    weights **= -beta
+    return np.bincount(idx, weights=weights, minlength=a * c)
 
 
 def phi_extreme_beta(r: TorsionClass, chi: CharacterPoint,
@@ -430,8 +431,11 @@ def phi_extreme_beta(r: TorsionClass, chi: CharacterPoint,
     bound combining the series tail and the zeta-factor tolerance.
 
     The Dirichlet sum runs over ideals; the pairing of a*r with chi only
-    depends on a modulo the level c, and N_c annihilates O/cO, so the
-    sum collapses onto residue buckets indexed modulo N_c.
+    depends on a modulo the level c, so the sum collapses onto the N(c)
+    classes of O/cO, indexed i + j*omega on the Hermite basis of cO.
+    The class of i + j*omega pairs with exponent i*tau0 + j*tau1, where
+    tau0 = Tr(u*r*w/delta) and tau1 = Tr(omega*u*r*w/delta) for each
+    unit u.
     """
     import numpy as np
 
@@ -440,17 +444,19 @@ def phi_extreme_beta(r: TorsionClass, chi: CharacterPoint,
         raise ValueError(f"extreme states need 1 < beta < inf, not {bf}")
     ctx = chi.ctx
     pair_exponent(r, chi)  # validates the level against denominator(r)
-    m_mod = chi.level_norm
-    sums = _residue_sums(ctx.d, params.bound, bf, m_mod)
-    grid = np.arange(m_mod, dtype=np.float64)
+    c = chi.c
+    if ctx.is_rational:
+        basis = (chi.level_norm, 0, 1)
+    else:
+        basis = _hermite((c, c * ctx.omega))
+    sums = _residue_sums(ctx.d, params.bound, bf, basis)
+    i, j = np.divmod(np.arange(len(sums), dtype=np.float64), basis[2])
     total = 0j
     for u in ctx.units:
         tvec = u * r.rep * chi.w / ctx.delta
         tau0 = float(tvec.trace())
         tau1 = float((ctx.omega * tvec).trace()) if not ctx.is_rational else 0.0
-        ph0 = np.exp(2j * pi * tau0 * grid)
-        ph1 = np.exp(2j * pi * tau1 * grid)
-        total += ph0 @ sums @ ph1
+        total += np.exp(2j * pi * (tau0 * i + tau1 * j)) @ sums
     partial = total / len(ctx.units)
     zeta, zeta_err = zeta_k(ctx, bf, tol=params.tol)
     tail = _series_tail(ctx, params.bound, bf)

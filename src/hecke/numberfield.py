@@ -531,7 +531,6 @@ def reduce_mod(x: FieldElem, a: FieldElem) -> FieldElem:
     return a * FieldElem(a.ctx, y.e0 % q, y.e1 % q, q)
 
 
-@lru_cache(maxsize=None)
 def residues(a: FieldElem) -> tuple[FieldElem, ...]:
     """A transversal of O/aO, of size exactly norm(a).
 
@@ -667,22 +666,51 @@ def splitting_type(ctx: FieldCtx, p: int) -> str:
     return {1: "split", -1: "inert", 0: "ramified"}[chi]
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a modulo an odd prime p, for a square a, by
+    Tonelli-Shanks (Cohen, GTM 138, 1.5.1)."""
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, x = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, x = i, b * b % p, t * b * b % p, x * b % p
+    return x
+
+
 @lru_cache(maxsize=None)
 def prime_elements_above(ctx: FieldCtx, p: int) -> tuple[FieldElem, ...]:
-    """Canonical prime elements of O dividing the rational prime p."""
+    """Canonical prime elements of O dividing the rational prime p.
+
+    Above a split or ramified p the primes are pO + (omega - x)O for the
+    roots x of X^2 - tX + n modulo p, the minimal polynomial of omega
+    (Dedekind-Kummer; O = Z[omega]); gcd_gen gives their generators."""
     if ctx.is_rational:
         return (ctx.elem(p),)
     kind = splitting_type(ctx, p)
     if kind == "inert":
         return (ctx.elem(p),)
-    sols = elements_of_norm(ctx, p)
-    if not sols:
-        raise ArithmeticError(f"prime {p} should have norm-{p} elements")
-    reps = sorted({canonical_generator(s) for s in sols}, key=_assoc_key)
-    if kind == "ramified":
-        return (reps[0],)
-    assert len(reps) == 2, f"expected two primes above split {p}"
-    return tuple(reps)
+    t, n = ctx.t, ctx.n
+    if p == 2:
+        x = next(x for x in (0, 1) if (x * x - t * x + n) % 2 == 0)
+    else:
+        # x = (t + sqrt(D)) / 2 with D = t^2 - 4n the discriminant
+        x = (t + _sqrt_mod(ctx.discriminant, p)) * pow(2, -1, p) % p
+    gens = {gcd_gen(ctx.elem(p), ctx.omega - y) for y in (x, t - x)}
+    assert len(gens) == (2 if kind == "split" else 1), (ctx, p)
+    return tuple(sorted(gens, key=_assoc_key))
 
 
 def factor(a: FieldElem) -> list[tuple[FieldElem, int]]:

@@ -349,11 +349,12 @@ def right_cosets_in_double_coset(gamma: GroupElem) -> list[GroupElem]:
     ctx = gamma.y.ctx
     uni = _universe(ctx)
     num, _den = frac_ideal_parts(gamma.x)
+    ms = residues(num)
     seen = {}
     for u in ctx.units:
         yu = gamma.y * u
         xu = gamma.x * u
-        for m in residues(num):
+        for m in ms:
             i = uni.key_id(yu + m, xu)
             if i not in seen:
                 seen[i] = uni.reps[i]

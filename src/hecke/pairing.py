@@ -145,7 +145,7 @@ def character_laws(chi: CharacterPoint) -> dict:
 
     vectors = {tuple(pair_exponent(r.scaled(z), chi) for r in pts)
                for z in residues(c)}
-    generates_dual = len(vectors) == len(residues(c))
+    generates_dual = len(vectors) == c.norm()
 
     restriction = True
     for e in _proper_divisors(c):

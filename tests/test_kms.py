@@ -32,10 +32,10 @@ from hecke.kms import (KmsParams, eigenvalue_list, ideal_norms_up_to,
                        kms_identity_check, partial_zeta, phi_extreme_beta,
                        phi_extreme_infty, phi_symmetric,
                        phi_symmetric_element, phi_symmetric_monomial, zeta_k)
-from hecke.numberfield import (SUPPORTED_D, _ideal_key, canonical_generator,
-                               factor, ideals_up_to, kronecker_symbol,
-                               make_ctx)
-from hecke.pairing import CharacterPoint
+from hecke.numberfield import (SUPPORTED_D, _hermite, _ideal_key,
+                               canonical_generator, factor, ideals_up_to,
+                               kronecker_symbol, make_ctx)
+from hecke.pairing import CharacterPoint, pair_exponent
 from hecke.symmetry import level_group
 from hecke.torsion import torsion_class, torsion_points
 
@@ -478,6 +478,41 @@ def test_extreme_beta_against_raw_lattice_sum():
     zval, _ = zeta_k(GAUSS, 2, tol=1e-8)
     want = raw / (4 * zval)
     assert abs(val - want) < 1e-9 + err
+    # more levels, each summed ideal by ideal with the phase of every unit
+    # multiple from pair_exponent: Q at 12, Q(i) at 2 + i, whose Hermite
+    # basis (5, 2 + omega) has B != 0, and non-rational levels in
+    # Q(sqrt(-3)) (basis (6, 2 + 2*omega)) and Q(sqrt(-7)) ((14, 3 + omega))
+    bound = 3000
+    params = KmsParams(beta=2, bound=bound, tol=1e-8)
+    for ctx, level, rnum, w in [(Q, (12,), (5,), (7,)),
+                                (GAUSS, (2, 1), (1,), (2,)),
+                                (EISEN, (2, 2), (1, 1), (5,)),
+                                (make_ctx(7), (3, 1), (2,), (3,))]:
+        c = ctx.elem(*level)
+        chi = CharacterPoint.make(ctx, c, ctx.elem(*w))
+        r = torsion_class(ctx.elem(*rnum) / c)
+        val, err = phi_extreme_beta(r, chi, params)
+        raw = 0j
+        for g in ideals_up_to(ctx, bound):
+            phases = sum(cmath.exp(2j * math.pi * float(
+                pair_exponent(torsion_class(u * g * r.rep), chi)))
+                for u in ctx.units)
+            raw += phases / len(ctx.units) * float(g.norm()) ** -2.0
+        zval, _ = zeta_k(ctx, 2, tol=1e-8)
+        assert abs(val - raw / zval) < 1e-9 + err, (ctx, level)
+
+
+def test_residue_sums_are_one_vector_over_o_mod_c():
+    # one bucket per class of O/cO, and every ideal in exactly one bucket
+    for ctx, level in [(Q, (12,)), (GAUSS, (2, 1)), (GAUSS, (3,)),
+                       (EISEN, (2, 2)), (make_ctx(7), (3, 1))]:
+        c = ctx.elem(*level)
+        basis = ((c.norm(), 0, 1) if ctx.is_rational
+                 else _hermite((c, c * ctx.omega)))
+        sums = kms._residue_sums(ctx.d, 5000, 2.0, basis)
+        assert sums.shape == (c.norm(),), (ctx, level)
+        assert math.isclose(sums.sum(), partial_zeta(ctx, 5000, 2.0),
+                            rel_tol=1e-13)
 
 
 def test_extreme_average_recovers_symmetric_state():

@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hecke.numberfield as nf
 from hecke.errors import UnsupportedFieldError
 from hecke.numberfield import (
-    FieldElem, SUPPORTED_D, canonical_generator, ctx_from_tag,
+    FieldElem, SUPPORTED_D, _assoc_key, canonical_generator, ctx_from_tag,
     divide_exact, elements_of_norm, factor, factor_int, format_element,
     frac_ideal_parts, gcd_gen, ideals_up_to, is_coprime, kronecker_symbol,
     make_ctx, parse_element, prime_elements_above, reduce_mod, residues,
@@ -394,6 +396,58 @@ def test_splitting_matches_kronecker_and_legendre():
                 assert prs == (ctx.elem(p),)
 
 
+def primes_above_by_search(ctx, p):
+    """Oracle: the canonical generators of the elements of norm p (one
+    class above a ramified p, two above a split one), or p itself when
+    it is inert or the field is Q."""
+    kind = splitting_type(ctx, p)
+    if kind in ("rational", "inert"):
+        return (ctx.elem(p),)
+    reps = sorted({canonical_generator(x) for x in elements_of_norm(ctx, p)},
+                  key=_assoc_key)
+    assert len(reps) == (2 if kind == "split" else 1)
+    return tuple(reps)
+
+
+def test_prime_elements_above_against_norm_search():
+    primes = [p for p in range(2, 3000) if factor_int(p) == {p: 1}]
+    for d in SUPPORTED_D:
+        ctx = make_ctx(d)
+        for p in primes:
+            assert prime_elements_above(ctx, p) == \
+                primes_above_by_search(ctx, p), (d, p)
+
+
+def test_primes_above_a_large_split_prime_are_fast():
+    # 10^18 + 9 is prime and 1 mod 4, so it splits in Q(i); a search of
+    # the elements of that norm would take about 10^9 steps
+    ctx = make_ctx(1)
+    p = 10 ** 18 + 9
+    start = time.perf_counter()
+    fac = factor(ctx.elem(p))
+    assert time.perf_counter() - start < 0.5
+    assert [e for _, e in fac] == [1, 1]
+    assert all(g.norm() == p for g, _ in fac)
+    assert divide_exact(ctx.elem(p), fac[0][0] * fac[1][0]).is_unit
+
+
+def test_residues_keep_no_table():
+    # each call builds its transversal and keeps none of it: calls over
+    # many moduli peak at about the size of the largest transversal
+    ctx = make_ctx(163)
+    mods = [ctx.elem(x, y) for x in range(-3, 4) for y in range(-3, 4)
+            if x or y]
+    tracemalloc.start()
+    try:
+        for a in mods:
+            assert len(residues(a)) == a.norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 8232 residues in all, the largest transversal 387 of them
+    assert peak < 256 * 1024, peak
+
+
 def test_kronecker_basic_identities():
     assert kronecker_symbol(-4, 2) == 0
     assert kronecker_symbol(-4, 5) == 1
@@ -407,11 +461,20 @@ def test_kronecker_basic_identities():
                         == kronecker_symbol(a, m) * kronecker_symbol(a, n))
 
 
-def test_factor_int():
+def test_factor_int(monkeypatch):
     assert factor_int(360) == {2: 3, 3: 2, 5: 1}
     assert factor_int(-17) == {17: 1}
     big = 1000003 * 998117
     assert factor_int(big) == {1000003: 1, 998117: 1}
+    # products of primes above the trial-division bound go to Pollard rho
+    rho, rho_calls = nf._pollard_rho, []
+    monkeypatch.setattr(nf, "_pollard_rho",
+                        lambda n: rho_calls.append(n) or rho(n))
+    p, q, s = 10 ** 6 + 3, 10 ** 6 + 33, 10 ** 6 + 37
+    assert factor_int(p * q) == {p: 1, q: 1}
+    assert factor_int(p * q * s) == {p: 1, q: 1, s: 1}
+    assert factor_int(p * p * q) == {p: 2, q: 1}
+    assert len(rho_calls) >= 3
     with pytest.raises(ValueError):
         factor_int(0)
     # the norm of an inert prime p is p*p, which rho splits only slowly
