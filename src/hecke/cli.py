@@ -266,8 +266,8 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
         chi = CharacterPoint.make(ctx, _elem(ctx, level), _elem(ctx, w_text))
         if beta_text in ("inf", "infinity"):
             # cyclotomic reduction at a conductor up to N(c) sets the cost;
-            # default cap: Q level 9240 takes 3.6 s, 10010 6 s and 30030
-            # 58 s, d1 level 1000 (norm 10**6) 0.12 s
+            # default cap: Q level 9240 takes 0.3 s, 10010 2.2 s and 30030
+            # 22 s, d1 level 1000 (norm 10**6) 0.14 s
             _level_guard(chi.level_norm, 10 ** 4)
             out = _cyclo_json(phi_extreme_infty(r, chi))
             out.update({"beta": "inf", "field": ctx.tag,
@@ -362,8 +362,8 @@ def galois_cmd(field_tag: str, level: str, w_text: str, j_text: str,
         lvl = _elem(ctx, level)
         chi = CharacterPoint.make(ctx, lvl, _elem(ctx, w_text))
         # cyclotomic reduction at a conductor up to N(c) sets the cost;
-        # default cap: Q level 10010 takes 9 s and 30030 121 s, d1 level
-        # 1000 (norm 10**6) 0.3 s
+        # default cap: Q level 10010 takes 4.8 s and 30030 49 s, d1 level
+        # 1000 (norm 10**6) 0.13 s
         _level_guard(chi.level_norm, 10 ** 4)
         g = SymmetryElem.make(ctx, lvl, _elem(ctx, j_text))
         rep = compare_actions(_torsion(ctx, r_text), chi, g)
@@ -390,7 +390,8 @@ def regularity_cmd(field_tag: str, level: str) -> None:
     ctx = _field(field_tag)
     try:
         lvl = canonical_generator(_elem(ctx, level))
-        # default cap: level norm 449 takes 75 s and 740 MB
+        # default cap: level norm 149 takes 1.8 s and 45 MB; 449 took
+        # 75 s and 740 MB when last measured
         _level_guard(int(lvl.norm()), 200)
         rep = regularity_check(lvl)
     except ValueError as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .numberfield import factor_int
 
@@ -29,14 +29,32 @@ def _reduction_tail(m: int) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_(D-1)) of the m-th cyclotomic polynomial
     below its leading monomial, so zeta^D = -(c_0 + ... + c_(D-1) zeta^(D-1)).
 
-    Phi_m is x^m - 1 divided by Phi_d for every proper divisor d of m.
+    Phi_m(x) = Phi_rad(x^(m/rad)) for the radical rad of m, and for
+    rad > 1 Phi_rad is the Moebius product of (1 - x^d)^mu(rad/d) over
+    d | rad, taken as power series below degree phi(rad) + 1, where it is
+    exact: each factor is one pass of a multiplication by 1 - x^d or of a
+    division by it.
     """
-    poly = [-1] + [0] * (m - 1) + [1]  # lowest degree first
-    for d in range(1, m):
-        if m % d == 0:
-            poly, rest = _divmod(poly, d)
-            assert not any(rest), "division left a remainder"
-    return tuple(poly[:-1])
+    primes = list(factor_int(m))
+    if not primes:
+        return (-1,)  # Phi_1 = x - 1
+    deg = prod(p - 1 for p in primes)
+    divisors = [(1, (-1) ** len(primes))]  # (d, mu(rad/d))
+    for p in primes:
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    poly = [1] + [0] * deg  # lowest degree first
+    for d, mu in divisors:
+        if mu > 0:
+            poly[d:] = [a - b for a, b in zip(poly[d:], poly)]
+        else:
+            for j in range(d, deg + 1, d):
+                poly[j:j + d] = [a + b for a, b in zip(poly[j:j + d],
+                                                       poly[j - d:j])]
+    assert poly[-1] == 1, "Phi_rad is monic"
+    step = m // prod(primes)
+    tail = [0] * (deg * step)
+    tail[::step] = poly[:-1]
+    return tuple(tail)
 
 
 def _divmod(num: list, m: int) -> tuple[list, list]:

@@ -16,10 +16,11 @@ The closed form is evaluated at every finite beta > 0.  For
 symmetry-group average of the extreme states (criterion 7 checks this at
 beta = 2).  The extreme low-temperature states are indexed by
 finite-level characters chi: at beta = infinity the value is an exact
-unit-orbit average of pairings, and for finite beta a zeta-normalized
-Dirichlet series evaluated here by bucketing ideals by their class in
-O/cO, N(c) buckets on the Hermite basis of cO, so the series cost is
-shared across all characters of a level.
+average of the pairing over the units, one integer trace each, and for
+finite beta a zeta-normalized Dirichlet series evaluated here by
+bucketing ideals by their class in O/cO, N(c) buckets on the Hermite
+basis of cO, so the series cost is shared across all characters of a
+level.
 
 The partition function of the system is the Dedekind zeta function,
 computed as an Euler product with a certified truncation bound.  The
@@ -44,15 +45,15 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, inf, isqrt, lcm, log, log10, pi
+from math import exp, gcd, inf, isqrt, log, log10, pi
 from typing import Union
 
 from .cyclotomic import CycloNum
 from .hecke_algebra import HeckeElement, Monomial, mul_hecke, sigma_i_beta
 from .numberfield import (FieldCtx, _hermite, factor, kronecker_symbol,
                           make_ctx)
-from .pairing import CharacterPoint, pair_exponent
-from .torsion import TorsionClass, denominator_element, unit_orbit
+from .pairing import CharacterPoint, _trace_numerators, pair_exponent
+from .torsion import TorsionClass, denominator_element
 
 __all__ = [
     "KmsParams", "phi_symmetric", "phi_symmetric_monomial",
@@ -388,13 +389,16 @@ def zeta_k(ctx: FieldCtx, beta: Number,
 
 def phi_extreme_infty(r: TorsionClass, chi: CharacterPoint) -> CycloNum:
     """Ground-state value on theta_r: the exact average of the pairing
-    over the unit orbit of r."""
-    exps = [pair_exponent(s, chi) for s in unit_orbit(r)]
-    m = lcm(*(e.denominator for e in exps))
-    counts = [0] * m  # how often each zeta_m^k occurs
-    for e in exps:
-        counts[e.numerator * (m // e.denominator)] += 1
-    return CycloNum(m, counts, len(exps))
+    <u*r, chi> over the units u, one integer trace each.  Every class of
+    the unit orbit of r is hit |Stab(r)| times, so this is also the
+    average over the orbit."""
+    q, t0, t1 = _trace_numerators(r, chi)
+    nums = [(u.e0 * t0 + u.e1 * t1) % q for u in chi.ctx.units]
+    g = gcd(q, *nums)
+    counts = [0] * (q // g)  # how often each zeta_(q/g)^k occurs
+    for k in nums:
+        counts[k // g] += 1
+    return CycloNum(q // g, counts, len(nums))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,6 @@ Tr(O/delta) lies in Z; the tests check this rather than assume it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor
 
 from .cyclotomic import CycloNum, from_exponent
 from .numberfield import (FieldCtx, FieldElem, canonical_generator,
@@ -97,19 +96,39 @@ class CharacterPoint:
                 f"w={format_element(self.w)})")
 
 
+def _trace_numerators(r: TorsionClass,
+                      chi: CharacterPoint) -> tuple[int, int, int]:
+    """(q, t0, t1) with Tr(z) = t0/q and Tr(omega*z) = t1/q, where
+    z = r*w/delta, so <u*r, chi> has exponent (u0*t0 + u1*t1)/q mod 1
+    for an integral u = u0 + u1*omega.
+
+    Requires the denominator of r to divide the level of chi; otherwise
+    the value would depend on the lift of w.  It does exactly when c*r
+    is integral, which is checked with one product.
+    """
+    if not (chi.c * r.rep).is_integral:
+        den = denominator_element(r)
+        raise ValueError(
+            f"denominator {format_element(den)} of the torsion class does "
+            f"not divide the character level {format_element(chi.c)}")
+    ctx = chi.ctx
+    z = r.rep * chi.w / ctx.delta
+    e0, e1 = z.e0, z.e1
+    if ctx.is_rational:
+        return z.q, e0, 0
+    t = ctx.t
+    # omega*z = (-n*e1 + (e0 + t*e1)*omega)/q, and Tr(x + y*omega) = 2x + t*y
+    return z.q, 2 * e0 + t * e1, t * (e0 + t * e1) - 2 * ctx.n * e1
+
+
 def pair_exponent(r: TorsionClass, chi: CharacterPoint) -> Fraction:
     """The exact exponent q in <r, chi> = exp(2*pi*i*q), reduced to [0, 1).
 
     Requires the denominator of r to divide the level of chi; otherwise
     the value would depend on the lift of w.
     """
-    den = denominator_element(r)
-    if divide_exact(chi.c, den) is None:
-        raise ValueError(
-            f"denominator {format_element(den)} of the torsion class does "
-            f"not divide the character level {format_element(chi.c)}")
-    e = (r.rep * chi.w / chi.ctx.delta).trace()
-    return e - floor(e)
+    q, t0, _ = _trace_numerators(r, chi)
+    return Fraction(t0 % q, q)
 
 
 def pair(r: TorsionClass, chi: CharacterPoint) -> CycloNum:

@@ -255,6 +255,34 @@ def test_minimal_polynomial_vanishes():
         assert total.is_zero
 
 
+def test_reduction_tail_against_division_construction():
+    # reference: Phi_m as x^m - 1 divided by Phi_d for every proper
+    # divisor d of m, by long division of integer polynomials
+    phis = {}
+
+    def phi(m):
+        if m not in phis:
+            poly = [-1] + [0] * (m - 1) + [1]  # lowest degree first
+            for d in range(1, m):
+                if m % d:
+                    continue
+                div = phi(d)
+                k = len(div) - 1
+                quot = [0] * (len(poly) - k)
+                for i in range(len(quot) - 1, -1, -1):
+                    c = quot[i] = poly[i + k]
+                    for j, t in enumerate(div):
+                        poly[i + j] -= c * t
+                assert not any(poly), (m, d)
+                poly = quot
+            phis[m] = poly
+        return phis[m]
+
+    for m in [*range(1, 301), 2310]:
+        assert _reduction_tail(m) == tuple(phi(m)[:-1]), m
+        assert phi(m)[-1] == 1
+
+
 def test_library_runs_without_sympy():
     # sympy is no dependency at all: the CLI and a ground-state value
     # must not import it

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import hecke.kms as kms
-from hecke.cyclotomic import CycloNum, root_of_unity
+from hecke.cyclotomic import CycloNum, from_exponent, root_of_unity
 from hecke.hecke_algebra import (HeckeElement, Monomial, adjoint, alpha,
                                  identity, mu, mul_hecke, theta)
 from hecke.kms import (KmsParams, eigenvalue_list, ideal_norms_up_to,
@@ -37,7 +37,7 @@ from hecke.numberfield import (SUPPORTED_D, _hermite, _ideal_key,
                                kronecker_symbol, make_ctx)
 from hecke.pairing import CharacterPoint, pair_exponent
 from hecke.symmetry import level_group
-from hecke.torsion import torsion_class, torsion_points
+from hecke.torsion import torsion_class, torsion_points, unit_orbit
 
 Q = make_ctx(0)
 GAUSS = make_ctx(1)
@@ -443,6 +443,31 @@ def test_extreme_infty_frozen_values():
             + root_of_unity(5, 4)) / 4
     assert got == want
     assert abs(got.numeric() - (2 + 2 * math.cos(2 * math.pi / 5)) / 4) < 1e-12
+
+
+def test_extreme_infty_against_orbit_average():
+    # reference: the mean of the roots of unity exp(2*pi*i*Tr(s*w/delta))
+    # over the classes s of the unit orbit of r, summed as cyclotomic
+    # numbers, with no use of the pairing module; the mean depends only
+    # on the multiset of exponents, so it is summed once per multiset
+    means = {}
+    checked = 0
+    for d in (0, 1, 2, 3, 7, 163):
+        ctx = make_ctx(d)
+        for c in ideals_up_to(ctx, 25):
+            pts = torsion_points(c)
+            for w in level_group(c).units:
+                chi = CharacterPoint.make(ctx, c, w)
+                for r in pts:
+                    exps = tuple(sorted((s.rep * chi.w / ctx.delta).trace() % 1
+                                        for s in unit_orbit(r)))
+                    if exps not in means:
+                        means[exps] = sum(map(from_exponent, exps)) / len(exps)
+                    assert phi_extreme_infty(r, chi) == means[exps], \
+                        (d, c, w, r)
+                    checked += 1
+    assert checked == 17_354
+    assert len(means) > 100
 
 
 def test_extreme_beta_normalizes_at_zero():

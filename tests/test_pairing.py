@@ -10,12 +10,14 @@ Key independent facts frozen here:
     of order 3 is exactly covered by the six units, killing the quotient.
 """
 from fractions import Fraction
+from math import floor
 
 import pytest
 
 from hecke.cyclotomic import CycloNum, root_of_unity
-from hecke.numberfield import (divide_exact, factor, make_ctx, reduce_mod,
-                               residues)
+from hecke.numberfield import (SUPPORTED_D, divide_exact, factor,
+                               format_element, ideals_up_to, make_ctx,
+                               reduce_mod, residues)
 from hecke.pairing import CharacterPoint, character_laws, pair, pair_exponent
 from hecke.symmetry import level_group
 from hecke.torsion import (denominator_element, stabilizer_index,
@@ -172,8 +174,6 @@ def test_gauss_level5_additivity():
 
 def test_unit_multiple_of_delta_relabels_w():
     # replacing delta by u*delta is the same as twisting the datum by 1/u
-    from math import floor
-
     for ctx in (GAUSS, EISEN):
         c = ctx.elem(5)
         for u in ctx.units:
@@ -202,3 +202,30 @@ def test_denominator_gate_matches_denominator_element():
     r_bad = torsion_class(GAUSS.elem(Fraction(1, 2)))
     with pytest.raises(ValueError):
         pair_exponent(r_bad, chi)
+    # every field, levels and denominators of norm <= 30: the gate (one
+    # product c*r) refuses exactly when the denominator ideal does not
+    # contain c, and otherwise the exponent is frac(Tr(r*w/delta))
+    refused = 0
+    for d in SUPPORTED_D:
+        ctx = make_ctx(d)
+        ideals = ideals_up_to(ctx, 30)
+        pts = {torsion_class(x / e) for e in ideals
+               for x in (ctx.one, ctx.one + 2 * ctx.omega)}
+        for c in ideals:
+            for w in {ctx.one, level_group(c).units[-1]}:
+                chi = CharacterPoint.make(ctx, c, w)
+                for r in pts:
+                    den = denominator_element(r)
+                    if divide_exact(c, den) is None:
+                        with pytest.raises(ValueError) as err:
+                            pair_exponent(r, chi)
+                        assert (f"denominator {format_element(den)} " in
+                                str(err.value)), (d, c, r)
+                        assert str(err.value).endswith(
+                            f"level {format_element(c)}"), (d, c, r)
+                        refused += 1
+                    else:
+                        e = (r.rep * chi.w / ctx.delta).trace()
+                        assert pair_exponent(r, chi) == e - floor(e), \
+                            (d, c, w, r)
+    assert refused > 10_000
