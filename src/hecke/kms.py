@@ -34,10 +34,11 @@ chi_D(p) depends: the character is applied to |D| bucket sums, not to
 every prime.
 
 The series run on numpy, which is imported inside the functions that
-sum them: the ideal grid _ideal_arrays (one generator per ideal, read
-off a fundamental sector of the unit rotation), the prime sieve, zeta_k
-and the finite-beta extreme states.  The symmetric state and the ground
-states never load it.
+sum them: the ideal arrays _ideal_arrays (one generator per ideal, one
+arange per row of numberfield._sector_rows, the walk over a fundamental
+sector of the unit rotation that also lists the ideals exactly), the
+prime sieve, zeta_k and the finite-beta extreme states.  The symmetric
+state and the ground states never load it.
 """
 from __future__ import annotations
 
@@ -50,9 +51,9 @@ from typing import Union
 
 from .cyclotomic import CycloNum
 from .hecke_algebra import HeckeElement, Monomial, mul_hecke, sigma_i_beta
-from .numberfield import (FieldCtx, _hermite, factor, kronecker_symbol,
-                          make_ctx)
-from .pairing import CharacterPoint, _trace_numerators, pair_exponent
+from .numberfield import (FieldCtx, _hermite, _sector_rows, factor,
+                          kronecker_symbol, make_ctx)
+from .pairing import CharacterPoint, _unit_trace_numerators
 from .torsion import TorsionClass, denominator_element
 
 __all__ = [
@@ -163,34 +164,26 @@ def kms_identity_check(x: HeckeElement, y: HeckeElement, beta: int) -> bool:
 @lru_cache(maxsize=None)
 def _ideal_arrays(d: int, bound: int):
     """Arrays (norms, x, y) listing exactly one generator x + y*omega for
-    every nonzero ideal of norm <= bound, sorted by norm.
+    every nonzero ideal of norm <= bound, sorted by norm, then x, then y.
 
-    The generator is chosen in a fixed fundamental sector for the unit
-    rotation: x >= 1, y >= 0 for d in {1, 3} (quarter / sixth sector),
-    the upper half plane plus the positive real axis otherwise.
+    The generators are the points of numberfield._sector_rows, one
+    arange per row.
     """
     import numpy as np
 
-    if d == 0:
-        n = np.arange(1, bound + 1, dtype=np.int64)
-        return n, n.copy(), np.zeros_like(n)
     ctx = make_ctx(d)
-    t, nn = ctx.t, ctx.n
-    ymax = int((bound / (nn - 0.25 * t)) ** 0.5) + 2
-    xmax = int(bound ** 0.5) + 2
-    xmin = -(xmax + (ymax if t else 0)) - 2
-    xs = np.arange(xmin, xmax + 1, dtype=np.int64)
-    ys = np.arange(0, ymax + 1, dtype=np.int64)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    norm = gx * gx + t * gx * gy + nn * gy * gy
-    if len(ctx.units) > 2:
-        sector = (gx >= 1) & (gy >= 0)
-    else:
-        sector = (gy >= 1) | ((gy == 0) & (gx >= 1))
-    keep = sector & (norm >= 1) & (norm <= bound)
-    norms = norm[keep]
-    order = np.argsort(norms, kind="stable")
-    return norms[order], gx[keep][order], gy[keep][order]
+    rows = _sector_rows(ctx, bound)
+    xs = np.concatenate([np.arange(lo, hi + 1, dtype=np.int64)
+                         for _, lo, hi in rows] or [np.zeros(0, np.int64)])
+    ys = np.repeat(np.array([y for y, _, _ in rows], dtype=np.int64),
+                   [hi - lo + 1 for _, lo, hi in rows])
+    if ctx.is_rational:
+        return xs, xs.copy(), ys  # the norm is x itself
+    norms = xs + ctx.t * ys
+    norms *= xs
+    norms += ctx.n * ys * ys
+    order = np.lexsort((ys, xs, norms))
+    return norms[order], xs[order], ys[order]
 
 
 def ideal_norms_up_to(ctx: FieldCtx, bound: int) -> list[int]:
@@ -211,19 +204,18 @@ def partial_zeta(ctx: FieldCtx, bound: int, beta: Number):
 
     if beta <= 1:
         raise ValueError("series diverges for beta <= 1")
-    norms = ideal_norms_up_to(ctx, bound)
     if isinstance(beta, int) and bound <= 2000:
-        return sum(Fraction(1, n ** beta) for n in norms)
-    bf = float(beta)
-    arr, _, _ = _ideal_arrays(ctx.d, bound)
-    return float(np.sum(arr.astype(np.float64) ** (-bf)))
+        return sum(Fraction(1, n ** beta)
+                   for n in ideal_norms_up_to(ctx, bound))
+    norms, _, _ = _ideal_arrays(ctx.d, bound)
+    return float(np.sum(norms.astype(np.float64) ** (-float(beta))))
 
 
 @lru_cache(maxsize=None)
 def _ideal_density(d: int) -> float:
     """Crude certified linear bound: ideals of norm <= x number at most
     kappa * x for x >= 1000, with kappa read off at 1000 and doubled."""
-    count = len(ideal_norms_up_to(make_ctx(d), 1000))
+    count = sum(hi - lo + 1 for _, lo, hi in _sector_rows(make_ctx(d), 1000))
     return 2.0 * count / 1000.0
 
 
@@ -392,8 +384,8 @@ def phi_extreme_infty(r: TorsionClass, chi: CharacterPoint) -> CycloNum:
     <u*r, chi> over the units u, one integer trace each.  Every class of
     the unit orbit of r is hit |Stab(r)| times, so this is also the
     average over the orbit."""
-    q, t0, t1 = _trace_numerators(r, chi)
-    nums = [(u.e0 * t0 + u.e1 * t1) % q for u in chi.ctx.units]
+    q, traces = _unit_trace_numerators(r, chi)
+    nums = [a0 % q for a0, _ in traces]
     g = gcd(q, *nums)
     counts = [0] * (q // g)  # how often each zeta_(q/g)^k occurs
     for k in nums:
@@ -414,8 +406,8 @@ def _residue_sums(d: int, bound: int, beta: float, basis: tuple[int, int, int]):
 
     a, b, c = basis
     norms, xs, ys = _ideal_arrays(d, bound)
-    # in place after three grid-long arrays: each fresh one costs about
-    # as much as the arithmetic on it
+    # in place after three arrays as long as the ideal list: each fresh
+    # one costs about as much as the arithmetic on it
     k = ys // c
     idx = k * b
     np.subtract(xs, idx, out=idx)
@@ -439,7 +431,7 @@ def phi_extreme_beta(r: TorsionClass, chi: CharacterPoint,
     classes of O/cO, indexed i + j*omega on the Hermite basis of cO.
     The class of i + j*omega pairs with exponent i*tau0 + j*tau1, where
     tau0 = Tr(u*r*w/delta) and tau1 = Tr(omega*u*r*w/delta) for each
-    unit u.
+    unit u, from integer numerators over one denominator.
     """
     import numpy as np
 
@@ -447,20 +439,14 @@ def phi_extreme_beta(r: TorsionClass, chi: CharacterPoint,
     if not 1 < bf < inf:  # NaN fails too
         raise ValueError(f"extreme states need 1 < beta < inf, not {bf}")
     ctx = chi.ctx
-    pair_exponent(r, chi)  # validates the level against denominator(r)
-    c = chi.c
-    if ctx.is_rational:
-        basis = (chi.level_norm, 0, 1)
-    else:
-        basis = _hermite((c, c * ctx.omega))
+    q, traces = _unit_trace_numerators(r, chi)
+    basis = ((chi.level_norm, 0, 1) if ctx.is_rational
+             else _hermite((chi.c, chi.c * ctx.omega)))
     sums = _residue_sums(ctx.d, params.bound, bf, basis)
     i, j = np.divmod(np.arange(len(sums), dtype=np.float64), basis[2])
     total = 0j
-    for u in ctx.units:
-        tvec = u * r.rep * chi.w / ctx.delta
-        tau0 = float(tvec.trace())
-        tau1 = float((ctx.omega * tvec).trace()) if not ctx.is_rational else 0.0
-        total += np.exp(2j * pi * (tau0 * i + tau1 * j)) @ sums
+    for a0, a1 in traces:  # int / int rounds correctly, as Fraction does
+        total += np.exp(2j * pi * (a0 / q * i + a1 / q * j)) @ sums
     partial = total / len(ctx.units)
     zeta, zeta_err = zeta_k(ctx, bf, tol=params.tol)
     tail = _series_tail(ctx, params.bound, bf)

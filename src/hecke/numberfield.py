@@ -11,7 +11,8 @@ so all ring operations, norms, residue systems, gcds and factorizations
 here are exact; the engine, torsion, the pairing and the coset oracle
 all share this one core.  Because the class number is one every ideal
 is principal, so a shortest nonzero vector of an ideal's lattice
-generates it: that is how gcd_gen finds a generator.
+generates it: that is how gcd_gen finds a generator.  One walk over a
+fundamental sector, _sector_rows, lists the ideals up to a norm bound.
 """
 from __future__ import annotations
 
@@ -592,29 +593,6 @@ def _hermite(gens) -> tuple[int, int, int]:
     return a, b % a, c
 
 
-def elements_of_norm(ctx: FieldCtx, m: int) -> list[FieldElem]:
-    """All integral elements x + y*omega of absolute norm m (m > 0), by
-    increasing y, the larger x first."""
-    if m <= 0:
-        raise ValueError("norm must be positive")
-    if ctx.is_rational:
-        return [ctx.elem(m), ctx.elem(-m)]
-    t, disc = ctx.t, -ctx.discriminant
-    out = []
-    ymax = isqrt(4 * m // disc)
-    for y in range(-ymax, ymax + 1):
-        # x^2 + t*x*y + n*y^2 = m has discriminant 4m - |D|*y^2
-        dd = 4 * m - disc * y * y
-        r = isqrt(dd)
-        if r * r != dd:
-            continue
-        for s in ((r, -r) if r else (0,)):
-            x, odd = divmod(s - t * y, 2)
-            if not odd:
-                out.append(ctx.elem(x, y))
-    return out
-
-
 @lru_cache(maxsize=1 << 14)
 def gcd_gen(a: FieldElem, b: FieldElem) -> FieldElem:
     """Canonical generator of the ideal aO + bO (inputs integral).
@@ -746,10 +724,34 @@ def factor(a: FieldElem) -> list[tuple[FieldElem, int]]:
 # ideal enumeration
 
 
+def _sector_rows(ctx: FieldCtx, bound: int) -> list[tuple[int, int, int]]:
+    """One generator x + y*omega of every nonzero ideal of norm <= bound,
+    as rows (y, lo, hi) of the points lo <= x <= hi.
+
+    The points fill a fundamental sector of the unit rotation: x >= 1,
+    y >= 0 for d in {1, 3}; otherwise y >= 1, or y = 0 and x >= 1.  As
+    4*N = (2x + t*y)^2 + |D|*y^2, row y bounds |2x + t*y| by the isqrt
+    of 4*bound - |D|*y^2.  Over Q it is the single row (0, 1, bound).
+    """
+    if ctx.is_rational:
+        return [(0, 1, bound)] if bound >= 1 else []
+    t, disc = ctx.t, -ctx.discriminant
+    rows = []
+    y = 0
+    while (room := 4 * bound - disc * y * y) >= 0:
+        s = isqrt(room)
+        lo, hi = -((s + t * y) // 2), (s - t * y) // 2
+        if y == 0 or len(ctx.units) > 2:
+            lo = max(lo, 1)
+        if lo <= hi:
+            rows.append((y, lo, hi))
+        y += 1
+    return rows
+
+
 def ideals_up_to(ctx: FieldCtx, bound: int) -> list[FieldElem]:
     """The canonical generators of all nonzero integral ideals of norm
-    <= bound, sorted by _ideal_key: the elements of each norm up to the
-    bound, one canonical generator per associate class."""
-    gens = {canonical_generator(x)
-            for m in range(1, bound + 1) for x in elements_of_norm(ctx, m)}
-    return sorted(gens, key=_ideal_key)
+    <= bound, sorted by _ideal_key: one per point of _sector_rows."""
+    return sorted((canonical_generator(ctx.elem(x, y))
+                   for y, lo, hi in _sector_rows(ctx, bound)
+                   for x in range(lo, hi + 1)), key=_ideal_key)

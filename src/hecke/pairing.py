@@ -121,6 +121,16 @@ def _trace_numerators(r: TorsionClass,
     return z.q, 2 * e0 + t * e1, t * (e0 + t * e1) - 2 * ctx.n * e1
 
 
+def _unit_trace_numerators(r: TorsionClass, chi: CharacterPoint) -> tuple:
+    """(q, [(a0, a1) per unit u of ctx.units]) with Tr(u*z) = a0/q and
+    Tr(omega*u*z) = a1/q for z = r*w/delta; checked as _trace_numerators."""
+    q, t0, t1 = _trace_numerators(r, chi)
+    t, n = chi.ctx.t, chi.ctx.n
+    # omega*u = -n*u1 + (u0 + t*u1)*omega for u = u0 + u1*omega
+    return q, [(u.e0 * t0 + u.e1 * t1, (u.e0 + t * u.e1) * t1 - n * u.e1 * t0)
+               for u in chi.ctx.units]
+
+
 def pair_exponent(r: TorsionClass, chi: CharacterPoint) -> Fraction:
     """The exact exponent q in <r, chi> = exp(2*pi*i*q), reduced to [0, 1).
 

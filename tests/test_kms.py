@@ -9,7 +9,9 @@ Oracles used here, none of which call the closed forms under test:
   * ideal counts come independently from divisor sums of the Kronecker
     character;
   * the finite-temperature extreme state is re-computed as a raw sum
-    over lattice points with explicit trace phases.
+    over lattice points with explicit trace phases;
+  * the ideal arrays of the series are checked against a numpy grid
+    masked down to a fundamental sector of the unit rotation.
 """
 import cmath
 import math
@@ -32,7 +34,7 @@ from hecke.kms import (KmsParams, eigenvalue_list, ideal_norms_up_to,
                        kms_identity_check, partial_zeta, phi_extreme_beta,
                        phi_extreme_infty, phi_symmetric,
                        phi_symmetric_element, phi_symmetric_monomial, zeta_k)
-from hecke.numberfield import (SUPPORTED_D, _hermite, _ideal_key,
+from hecke.numberfield import (SUPPORTED_D, _hermite,
                                canonical_generator, factor, ideals_up_to,
                                kronecker_symbol, make_ctx)
 from hecke.pairing import CharacterPoint, pair_exponent
@@ -213,18 +215,55 @@ def test_ideal_counts_against_divisor_sums():
             assert counts[n] == exact[n] == want, (d, n)
 
 
-def test_ideal_grid_matches_exact_ideal_list():
-    # the two routes to the ideals: canonical generators read off the
-    # numpy grid of the series, and the exact list of numberfield
-    for d in SUPPORTED_D:
-        ctx = make_ctx(d)
-        for bound in (1, 2, 3, 4, 10, 57, 120, 299, 300):
-            norms, xs, ys = kms._ideal_arrays(d, bound)
-            grid = [canonical_generator(ctx.elem(int(x), int(y)))
-                    for x, y in zip(xs, ys)]
-            assert [g.norm() for g in grid] == norms.tolist()
-            assert sorted(grid, key=_ideal_key) == ideals_up_to(ctx, bound), \
-                (d, bound)
+def grid_ideal_arrays(d, bound):
+    """Reference: the arrays (norms, x, y) masked out of a numpy grid
+    over a box around the fundamental sector of the unit rotation (x >= 1,
+    y >= 0 for d in {1, 3}; otherwise y >= 1, or y = 0 and x >= 1),
+    stably sorted by norm from the x-major order of the grid."""
+    if d == 0:
+        n = np.arange(1, bound + 1, dtype=np.int64)
+        return n, n.copy(), np.zeros_like(n)
+    ctx = make_ctx(d)
+    t, nn = ctx.t, ctx.n
+    ymax = int((bound / (nn - 0.25 * t)) ** 0.5) + 2
+    xmax = int(bound ** 0.5) + 2
+    xmin = -(xmax + (ymax if t else 0)) - 2
+    xs = np.arange(xmin, xmax + 1, dtype=np.int64)
+    ys = np.arange(0, ymax + 1, dtype=np.int64)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    norm = gx * gx + t * gx * gy + nn * gy * gy
+    if len(ctx.units) > 2:
+        sector = (gx >= 1) & (gy >= 0)
+    else:
+        sector = (gy >= 1) | ((gy == 0) & (gx >= 1))
+    keep = sector & (norm >= 1) & (norm <= bound)
+    norms = norm[keep]
+    order = np.argsort(norms, kind="stable")
+    return norms[order], gx[keep][order], gy[keep][order]
+
+
+def test_ideal_arrays_match_grid_reference():
+    # values, dtype and order: the order fixes how _residue_sums adds up
+    # its floats, so the series values stay bit for bit; 100000 is the
+    # bound of the README and the thermal benchmark
+    cases = [(d, bound) for d in SUPPORTED_D
+             for bound in (0, 1, 2, 3, 4, 10, 57, 120, 299, 300, 1000)]
+    cases += [(d, 100_000) for d in (0, 1, 3)]
+    for d, bound in cases:
+        got = kms._ideal_arrays.__wrapped__(d, bound)
+        for g, w in zip(got, grid_ideal_arrays(d, bound)):
+            assert g.dtype == w.dtype and np.array_equal(g, w), (d, bound)
+
+
+def test_ideal_arrays_memory_peak():
+    # three arrays of the ideals, not a grid over a box around the sector
+    tracemalloc.start()
+    try:
+        kms._ideal_arrays.__wrapped__(3, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, peak
 
 
 def test_eigenvalue_list_frozen():

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 import hecke.numberfield as nf
 from hecke.errors import UnsupportedFieldError
 from hecke.numberfield import (
-    FieldElem, SUPPORTED_D, _assoc_key, canonical_generator, ctx_from_tag,
-    divide_exact, elements_of_norm, factor, factor_int, format_element,
+    FieldElem, SUPPORTED_D, _assoc_key, _ideal_key, canonical_generator,
+    ctx_from_tag, divide_exact, factor, factor_int, format_element,
     frac_ideal_parts, gcd_gen, ideals_up_to, is_coprime, kronecker_symbol,
     make_ctx, parse_element, prime_elements_above, reduce_mod, residues,
     splitting_type)
@@ -33,6 +33,27 @@ def lattice_index(gens):
     cols = [(g.e0, g.e1) for g in gens]
     return int_gcd(*(x1 * y2 - x2 * y1 for i, (x1, y1) in enumerate(cols)
                      for x2, y2 in cols[i + 1:]))
+
+
+def elements_of_norm(ctx, m):
+    """Oracle: all integral elements x + y*omega of absolute norm m > 0,
+    by increasing y, the larger x first: x^2 + t*x*y + n*y^2 = m solved
+    row by row through its discriminant 4m - |D|*y^2."""
+    if ctx.is_rational:
+        return [ctx.elem(m), ctx.elem(-m)]
+    t, disc = ctx.t, -ctx.discriminant
+    out = []
+    ymax = isqrt(4 * m // disc)
+    for y in range(-ymax, ymax + 1):
+        dd = 4 * m - disc * y * y
+        r = isqrt(dd)
+        if r * r != dd:
+            continue
+        for s in ((r, -r) if r else (0,)):
+            x, odd = divmod(s - t * y, 2)
+            if not odd:
+                out.append(ctx.elem(x, y))
+    return out
 
 
 def brute_units(ctx):
@@ -495,6 +516,19 @@ def test_ideals_up_to_counts():
     # canonical generators, pairwise distinct as ideals
     assert all(canonical_generator(g) == g for g in ideals)
     assert len(set(ideals)) == len(ideals)
+
+
+def test_ideals_up_to_against_norm_equation():
+    # the sector walk against the elements of every norm m <= bound, one
+    # canonical generator per associate class
+    for d in SUPPORTED_D:
+        ctx = make_ctx(d)
+        ref = sorted({canonical_generator(x) for m in range(1, 1001)
+                      for x in elements_of_norm(ctx, m)}, key=_ideal_key)
+        for bound in (1, 2, 3, 4, 10, 57, 120, 299, 300, 1000):
+            want = [g for g in ref if g.norm() <= bound]
+            assert ideals_up_to(ctx, bound) == want, (d, bound)
+        assert ideals_up_to(ctx, 0) == ideals_up_to(ctx, -1) == []
 
 
 def test_frac_ideal_parts():

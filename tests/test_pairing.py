@@ -18,7 +18,8 @@ from hecke.cyclotomic import CycloNum, root_of_unity
 from hecke.numberfield import (SUPPORTED_D, divide_exact, factor,
                                format_element, ideals_up_to, make_ctx,
                                reduce_mod, residues)
-from hecke.pairing import CharacterPoint, character_laws, pair, pair_exponent
+from hecke.pairing import (CharacterPoint, _unit_trace_numerators,
+                           character_laws, pair, pair_exponent)
 from hecke.symmetry import level_group
 from hecke.torsion import (denominator_element, stabilizer_index,
                            torsion_class, torsion_points)
@@ -229,3 +230,25 @@ def test_denominator_gate_matches_denominator_element():
                         assert pair_exponent(r, chi) == e - floor(e), \
                             (d, c, w, r)
     assert refused > 10_000
+
+
+def test_unit_trace_numerators_against_field_traces():
+    # every field, every level of norm <= 30, two characters per level and
+    # every torsion point of the level: the integer numerators of the unit
+    # phases are exact Fraction traces
+    checked = 0
+    for d in SUPPORTED_D:
+        ctx = make_ctx(d)
+        for c in ideals_up_to(ctx, 30):
+            for w in {ctx.one, level_group(c).units[-1]}:
+                chi = CharacterPoint.make(ctx, c, w)
+                for r in torsion_points(c):
+                    z = r.rep * chi.w / ctx.delta
+                    q, traces = _unit_trace_numerators(r, chi)
+                    assert len(traces) == len(ctx.units)
+                    for u, (a0, a1) in zip(ctx.units, traces):
+                        assert Fraction(a0, q) == (u * z).trace(), (d, c, r)
+                        assert Fraction(a1, q) == \
+                            (ctx.omega * u * z).trace(), (d, c, r)
+                        checked += 1
+    assert checked > 17_000
