@@ -174,9 +174,20 @@ def _parse_algebra(ctx: FieldCtx, text: str) -> HeckeElement:
     return out
 
 
+class _Group(click.Group):
+    """Every ValueError a command raises, a domain failure of the
+    library, becomes an exit-1 error message."""
+
+    def invoke(self, clicktx: click.Context):
+        try:
+            return super().invoke(clicktx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc))
+
+
 # -- commands ---------------------------------------------------------------
 
-@click.group()
+@click.group(cls=_Group)
 def main() -> None:
     """Exact computations in the Hecke algebra of an ax+b group over a
     class-number-one imaginary quadratic field or over the rationals."""
@@ -206,11 +217,7 @@ def field_cmd(field_tag: str) -> None:
 def mul_cmd(field_tag: str, left: str, right: str) -> None:
     """Multiply two products of generators and print the expansion."""
     ctx = _field(field_tag)
-    try:
-        product = mul_hecke(_parse_algebra(ctx, left),
-                            _parse_algebra(ctx, right))
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    product = mul_hecke(_parse_algebra(ctx, left), _parse_algebra(ctx, right))
     terms = []
     for mono, coeff in sorted(product.terms.items(),
                               key=lambda kv: kv[0].sort_key()):
@@ -247,46 +254,43 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
         bval = int(beta_text) if beta_text.isdigit() else float(beta_text)
     except ValueError:
         raise click.UsageError(f"--beta {beta_text!r} is not a number")
-    try:
-        if not extreme:
-            if beta_text in ("inf", "infinity"):
-                raise click.UsageError(
-                    "beta=inf needs --extreme (ground states live at "
-                    "character points)")
-            val = phi_symmetric(r, bval)
-            if isinstance(val, Fraction):
-                _emit({"beta": beta_text, "exact": str(val),
-                       "field": ctx.tag, "numeric": float(val)})
-            else:
-                _emit({"beta": beta_text, "field": ctx.tag,
-                       "numeric": float(val)})
-            return
-        if level is None:
-            raise click.UsageError("--extreme needs --level")
-        chi = CharacterPoint.make(ctx, _elem(ctx, level), _elem(ctx, w_text))
+    if not extreme:
         if beta_text in ("inf", "infinity"):
-            # cyclotomic reduction at a conductor up to N(c) sets the cost;
-            # default cap: Q level 9240 takes 0.3 s, 10010 2.2 s and 30030
-            # 22 s, d1 level 1000 (norm 10**6) 0.14 s
-            _level_guard(chi.level_norm, 10 ** 4)
-            out = _cyclo_json(phi_extreme_infty(r, chi))
-            out.update({"beta": "inf", "field": ctx.tag,
-                        "level": format_element(chi.c),
-                        "w": format_element(chi.w)})
-            _emit(out)
-            return
-        kp = KmsParams(beta=float(beta_text), bound=bound)
-        # the ideal arrays grow linearly with the bound, the residue sums
-        # and phases with N(c); default cap: bound and level norm 10**6
-        # take 0.8-1.1 s and 116 MB in d1, 0.9-1.0 s and 115 MB in d3
-        _level_guard(max(kp.bound, chi.level_norm), 10 ** 6)
-        val, err = phi_extreme_beta(r, chi, kp)
-        _emit({"beta": beta_text, "bound": kp.bound, "err": err,
-               "field": ctx.tag, "level": format_element(chi.c),
-               "numeric": [val.real, val.imag],
-               "w": format_element(chi.w)})
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+            raise click.UsageError(
+                "beta=inf needs --extreme (ground states live at "
+                "character points)")
+        val = phi_symmetric(r, bval)
+        if isinstance(val, Fraction):
+            _emit({"beta": beta_text, "exact": str(val),
+                   "field": ctx.tag, "numeric": float(val)})
+        else:
+            _emit({"beta": beta_text, "field": ctx.tag,
+                   "numeric": float(val)})
+        return
+    if level is None:
+        raise click.UsageError("--extreme needs --level")
+    chi = CharacterPoint.make(ctx, _elem(ctx, level), _elem(ctx, w_text))
+    if beta_text in ("inf", "infinity"):
+        # cyclotomic reduction at a conductor up to N(c) sets the cost;
+        # default cap: Q level 9240 takes 0.3 s, 10010 2.2 s and 30030
+        # 22 s, d1 level 1000 (norm 10**6) 0.14 s
+        _level_guard(chi.level_norm, 10 ** 4)
+        out = _cyclo_json(phi_extreme_infty(r, chi))
+        out.update({"beta": "inf", "field": ctx.tag,
+                    "level": format_element(chi.c),
+                    "w": format_element(chi.w)})
+        _emit(out)
+        return
+    kp = KmsParams(beta=float(beta_text), bound=bound)
+    # the ideal arrays grow linearly with the bound, the residue sums
+    # and phases with N(c); default cap: bound and level norm 10**6
+    # take 0.8-1.1 s and 116 MB in d1, 0.9-1.0 s and 115 MB in d3
+    _level_guard(max(kp.bound, chi.level_norm), 10 ** 6)
+    val, err = phi_extreme_beta(r, chi, kp)
+    _emit({"beta": beta_text, "bound": kp.bound, "err": err,
+           "field": ctx.tag, "level": format_element(chi.c),
+           "numeric": [val.real, val.imag],
+           "w": format_element(chi.w)})
 
 
 @main.command("zeta")
@@ -297,10 +301,7 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
 def zeta_cmd(field_tag: str, beta: float, tol: float) -> None:
     """Partition function value with a certified error bound."""
     ctx = _field(field_tag)
-    try:
-        val, err = zeta_k(ctx, beta, tol=tol)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    val, err = zeta_k(ctx, beta, tol=tol)
     _emit({"beta": beta, "err": err, "field": ctx.tag, "value": val})
 
 
@@ -313,11 +314,8 @@ def zeta_cmd(field_tag: str, beta: float, tol: float) -> None:
 def pair_cmd(field_tag: str, level: str, w_text: str, r_text: str) -> None:
     """Pair a torsion class with a character point."""
     ctx = _field(field_tag)
-    try:
-        chi = CharacterPoint.make(ctx, _elem(ctx, level), _elem(ctx, w_text))
-        e = pair_exponent(_torsion(ctx, r_text), chi)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    chi = CharacterPoint.make(ctx, _elem(ctx, level), _elem(ctx, w_text))
+    e = pair_exponent(_torsion(ctx, r_text), chi)
     z = cmath.exp(2j * cmath.pi * float(e))
     _emit({"exponent": str(e), "field": ctx.tag,
            "numeric": [z.real, z.imag], "order": e.denominator})
@@ -358,17 +356,14 @@ def galois_cmd(field_tag: str, level: str, w_text: str, j_text: str,
                r_text: str) -> None:
     """Geometric versus arithmetic action on one ground-state value."""
     ctx = _field(field_tag)
-    try:
-        lvl = _elem(ctx, level)
-        chi = CharacterPoint.make(ctx, lvl, _elem(ctx, w_text))
-        # cyclotomic reduction at a conductor up to N(c) sets the cost;
-        # default cap: Q level 10010 takes 4.8 s and 30030 49 s, d1 level
-        # 1000 (norm 10**6) 0.13 s
-        _level_guard(chi.level_norm, 10 ** 4)
-        g = SymmetryElem.make(ctx, lvl, _elem(ctx, j_text))
-        rep = compare_actions(_torsion(ctx, r_text), chi, g)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    lvl = _elem(ctx, level)
+    chi = CharacterPoint.make(ctx, lvl, _elem(ctx, w_text))
+    # cyclotomic reduction at a conductor up to N(c) sets the cost;
+    # default cap: Q level 10010 takes 4.8 s and 30030 49 s, d1 level
+    # 1000 (norm 10**6) 0.13 s
+    _level_guard(chi.level_norm, 10 ** 4)
+    g = SymmetryElem.make(ctx, lvl, _elem(ctx, j_text))
+    rep = compare_actions(_torsion(ctx, r_text), chi, g)
     _emit({
         "arithmetic": _cyclo_json(rep["arithmetic_value"]),
         "equal": rep["equal"],
@@ -388,14 +383,11 @@ def regularity_cmd(field_tag: str, level: str) -> None:
     """Check that the symmetry group permutes the level's ground states
     simply transitively."""
     ctx = _field(field_tag)
-    try:
-        lvl = canonical_generator(_elem(ctx, level))
-        # default cap: level norm 149 takes 1.8 s and 45 MB; 449 took
-        # 75 s and 740 MB when last measured
-        _level_guard(int(lvl.norm()), 200)
-        rep = regularity_check(lvl)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    lvl = canonical_generator(_elem(ctx, level))
+    # default cap: level norm 149 takes 2.1-2.6 s and 45 MB, 449 takes
+    # 39-46 s and 733 MB
+    _level_guard(int(lvl.norm()), 200)
+    rep = regularity_check(lvl)
     _emit({**rep, "level": format_element(rep["level"])})
     if not rep["all_ok"]:
         raise SystemExit(1)

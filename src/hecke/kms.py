@@ -53,7 +53,8 @@ from .cyclotomic import CycloNum
 from .hecke_algebra import HeckeElement, Monomial, mul_hecke, sigma_i_beta
 from .numberfield import (FieldCtx, _hermite, _sector_rows, factor,
                           kronecker_symbol, make_ctx)
-from .pairing import CharacterPoint, _unit_trace_numerators
+from .pairing import (CharacterPoint, _trace_numerators,
+                      _unit_trace_numerators)
 from .torsion import TorsionClass, denominator_element
 
 __all__ = [
@@ -384,8 +385,8 @@ def phi_extreme_infty(r: TorsionClass, chi: CharacterPoint) -> CycloNum:
     <u*r, chi> over the units u, one integer trace each.  Every class of
     the unit orbit of r is hit |Stab(r)| times, so this is also the
     average over the orbit."""
-    q, traces = _unit_trace_numerators(r, chi)
-    nums = [a0 % q for a0, _ in traces]
+    q, t0, t1 = _trace_numerators(r, chi)
+    nums = [(u.e0 * t0 + u.e1 * t1) % q for u in chi.ctx.units]
     g = gcd(q, *nums)
     counts = [0] * (q // g)  # how often each zeta_(q/g)^k occurs
     for k in nums:

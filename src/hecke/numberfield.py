@@ -13,6 +13,11 @@ all share this one core.  Because the class number is one every ideal
 is principal, so a shortest nonzero vector of an ideal's lattice
 generates it: that is how gcd_gen finds a generator.  One walk over a
 fundamental sector, _sector_rows, lists the ideals up to a norm bound.
+
+factor_int trial-divides by the first 13 primes, _WITNESSES, and tests
+primality by Miller-Rabin to the same 13 bases, a proof below
+psi_13 ~ 3.3 * 10^24: every prime it reports is proven, and a probable
+prime beyond psi_13 raises ValueError.
 """
 from __future__ import annotations
 
@@ -24,26 +29,27 @@ from .errors import UnsupportedFieldError
 
 SUPPORTED_D = (0, 1, 2, 3, 7, 11, 19, 43, 67, 163)
 
-_TRIAL_BOUND = 10 ** 6
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base in _WITNESSES (Sorenson and
+# Webster, Math. Comp. 86 (2017))
+_PSI13 = 3317044064679887385961981
 
 
 # ---------------------------------------------------------------------------
 # rational integer helpers
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
+def _is_prime(n: int) -> bool:
+    """Primality of an n > 1 with no prime factor in _WITNESSES: prime
+    below 41^2, else by Miller-Rabin to the bases _WITNESSES, whose
+    "composite" is certain and whose "prime" is proven below _PSI13;
+    a probable prime at or above it raises ValueError."""
+    if n < 41 * 41:
+        return True
+    d, s = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic Miller-Rabin witnesses for n < 3.3 * 10^24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -53,13 +59,15 @@ def _is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI13:
+        raise ValueError(f"{n} is a probable prime, but primality is "
+                         f"proven only below {_PSI13}")
     return True
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
+    """A nontrivial factor of a composite n free of the primes in
+    _WITNESSES."""
     for c in range(1, 100):
         x = y = 2
         d = 1
@@ -74,38 +82,30 @@ def _pollard_rho(n: int) -> int:
 
 
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {p: exponent}; n must be nonzero."""
+    """Prime factorization of |n| as {p: exponent}, primes increasing;
+    n must be nonzero.  After the primes in _WITNESSES every cofactor is
+    split until _is_prime accepts it: by isqrt when it is a square (the
+    norm of an inert prime p is p^2, on which rho needs about sqrt(p)
+    steps), else by Pollard rho."""
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _WITNESSES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while f * f <= n and f <= _TRIAL_BOUND:
-        if n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
         else:
-            f += wheel[i]
-            i = (i + 1) % 8
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if _is_probable_prime(m):
-                out[m] = out.get(m, 0) + 1
-            else:
-                # rho needs about sqrt(p) steps on p*p, the norm of an inert p
-                d = isqrt(m)
-                if d * d != m:
-                    d = _pollard_rho(m)
-                stack.extend((d, m // d))
-    return out
+            d = isqrt(m)
+            if d * d != m:
+                d = _pollard_rho(m)
+            stack += (d, m // d)
+    return dict(sorted(out.items()))
 
 
 def kronecker_symbol(a: int, n: int) -> int:

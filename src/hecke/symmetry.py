@@ -238,11 +238,12 @@ def regularity_check(c: FieldElem) -> dict:
     """Confirm that the symmetry group permutes the level-c ground
     states simply transitively.
 
-    Checks, all exact: the number of distinct state tuples over the
-    level-c torsion equals the group order; residues in one unit orbit
-    give the same tuple; the action is transitive with trivial
-    stabilizers; and moving the character matches moving the torsion
-    class (state transport).
+    Checks, all exact, on the state tuples over the level-c torsion: the
+    number of distinct tuples equals the group order; residues in one
+    unit orbit give the same tuple; moving one ground state by every
+    group element reaches every ground state (transitive) and a distinct
+    one each time (free); and moving the character matches moving the
+    torsion class (state transport).
     """
     cc, units, _, reps, rep_of = level_group(c)
     ctx = cc.ctx
@@ -258,21 +259,15 @@ def regularity_check(c: FieldElem) -> dict:
     orbits_align = all(tuples[w] == tuples[rep_of[w]] for w in units)
 
     base = reps[0]
-    moved = {rep_of[reduce_mod(j * base, cc)] for j in reps}
-    transitive = moved == set(reps)
-
-    one_rep = rep_of[reduce_mod(ctx.one, cc)]
-    free = all(
-        rep_of[reduce_mod(j * w, cc)] != w
-        for j in reps if j != one_rep
-        for w in reps)
+    moved = [tuples[reduce_mod(j * base, cc)] for j in reps]
+    transitive = set(moved) == set(tuples.values())
+    free = len(set(moved)) == order
 
     # both sides of phi(r, j*chi) = phi(j*r, chi) read from the table
     index = {r: i for i, r in enumerate(pts)}
     transport_ok = all(
-        tuples[reduce_mod(j * base, cc)][i]
-        == tuples[base][index[torsion_class(j * r.rep)]]
-        for j in reps for i, r in enumerate(pts))
+        state[i] == tuples[base][index[torsion_class(j * r.rep)]]
+        for j, state in zip(reps, moved) for i, r in enumerate(pts))
 
     all_ok = (counts_match and orbits_align and transitive and free
               and transport_ok)

@@ -250,6 +250,37 @@ def test_usage_and_domain_errors():
     assert "unit" in res.output
 
 
+def test_kms_symmetric_at_strong_pseudoprimes():
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the
+    # bases 2..37; both primes are inert in d43, so N(b) = psi_12^2 there
+    psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+    r = f"(1)/({psi12})"
+    data = run_ok("kms", "--field", "q", "--beta", "2", "--r", r)
+    assert data["exact"] == f"1/{psi12}"
+    data = run_ok("kms", "--field", "d43", "--beta", "2", "--r", r)
+    assert data["exact"] == ("1/1015479289490989527985589812758741821832"
+                             "65186521")
+    # psi_13 passes all 13 witnesses: its primality is not proven
+    res = CliRunner().invoke(main, ["kms", "--field", "q", "--beta", "2",
+                                    "--r", f"(1)/({psi13})"])
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Error:" in res.output and str(psi13) in res.output
+
+
+def test_value_error_in_verify_exits_1(monkeypatch):
+    import hecke.cli as cli
+
+    def fail(*_args):
+        raise ValueError("domain failure")
+
+    monkeypatch.setattr(cli, "verify_equivalence", fail)
+    res = CliRunner().invoke(main, ["verify", "--level", "2"])
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Error: domain failure" in res.output
+
+
 def test_nonzero_exit_on_unsound_regularity_never_triggers_here():
     # all supported levels are regular; exercise the passing path only
     data = run_ok("regularity", "--field", "d3", "--level", "2")

@@ -487,7 +487,7 @@ def test_factor_int(monkeypatch):
     assert factor_int(-17) == {17: 1}
     big = 1000003 * 998117
     assert factor_int(big) == {1000003: 1, 998117: 1}
-    # products of primes above the trial-division bound go to Pollard rho
+    # products of primes above the witness primes go to Pollard rho
     rho, rho_calls = nf._pollard_rho, []
     monkeypatch.setattr(nf, "_pollard_rho",
                         lambda n: rho_calls.append(n) or rho(n))
@@ -503,6 +503,41 @@ def test_factor_int(monkeypatch):
     start = time.perf_counter()
     assert factor_int(p * p) == {p: 2}
     assert time.perf_counter() - start < 0.5
+
+
+def test_factor_int_against_trial_division():
+    def trial(n):
+        out, p = {}, 2
+        while p * p <= n:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            p += 1
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+
+    for n in range(1, 50000):
+        got = factor_int(n)
+        assert got == trial(n) and list(got) == sorted(got), n
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13
+# prime bases (Sorenson and Webster, Math. Comp. 86 (2017))
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+
+
+def test_factor_int_certified_by_witnesses():
+    # psi_12 passes Miller-Rabin to the bases 2..37 and fails at 41
+    assert PSI12 == 399165290221 * 798330580441
+    assert factor_int(PSI12) == {399165290221: 1, 798330580441: 1}
+    assert factor_int(PSI12 ** 2) == {399165290221: 2, 798330580441: 2}
+    # psi_13 passes all 13 witnesses, so no prime is reported for it
+    with pytest.raises(ValueError, match=str(PSI13)):
+        factor_int(PSI13)
+    with pytest.raises(ValueError, match=str(PSI13)):
+        factor_int(2 * 3 * PSI13)
 
 
 def test_ideals_up_to_counts():

@@ -266,6 +266,15 @@ def test_regularity_frozen_orders():
     assert inert3["group_order"] == 2 and inert3["all_ok"]
 
 
+def test_regularity_reads_the_ground_states(monkeypatch):
+    # with every ground state equal, the group cannot act freely on them
+    monkeypatch.setattr(symmetry, "phi_extreme_infty",
+                        lambda r, chi: CycloNum.one())
+    rep = regularity_check(GAUSS.elem(5))
+    assert rep["group_order"] == 4 and rep["extreme_classes"] == 1
+    assert rep["transitive"] and not rep["free"] and not rep["all_ok"]
+
+
 def test_restriction_to_divisor_level_is_group_hom():
     for ctx, bval, aval in [(Q, 10, 5), (GAUSS, 5, 5),
                             (GAUSS, GAUSS.elem(3) * (GAUSS.elem(1)
