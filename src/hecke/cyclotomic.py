@@ -1,13 +1,12 @@
-"""Exact arithmetic in cyclotomic fields, one stored form per value.
+"""Exact values in cyclotomic fields, one stored form per value.
 
 A value is stored at its conductor m, the least modulus whose roots of
 unity generate a field holding it (never 2 mod 4), as integer numerators
 over one positive denominator in lowest terms, on the power basis
 1, zeta_m, ..., zeta_m^(phi(m)-1) left by reduction modulo the m-th
 cyclotomic polynomial.  Equal values have equal triples (m, nums, den),
-which equality and hashing compare.  Sums and products meet at the lcm
-M of the conductors, using zeta_m = zeta_M^(M/m), and descend to the
-conductor of the result one prime at a time (Breuer, AAECC 8, 1997).
+which equality and hashing compare.  A value given at any modulus
+descends to its conductor one prime at a time (Breuer, AAECC 8, 1997).
 
 The Galois action of k coprime to m sends zeta_m to zeta_m^k; complex
 embeddings evaluate at exp(2*pi*i/m).
@@ -17,7 +16,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .numberfield import factor_int
 
@@ -57,20 +56,19 @@ def _reduction_tail(m: int) -> tuple[int, ...]:
     return tuple(tail)
 
 
-def _divmod(num: list, m: int) -> tuple[list, list]:
-    """Quotient and remainder of the integer polynomial num (lowest degree
-    first, any length; changed in place) by Phi_m, the remainder padded
-    to the basis length phi(m)."""
+def _divmod(num: list, m: int) -> list:
+    """The remainder of the integer polynomial num (lowest degree first,
+    any length; changed in place) by Phi_m, padded to the basis length
+    phi(m)."""
     tail = _reduction_tail(m)
     k = len(tail)
-    quot = [0] * max(len(num) - k, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = quot[i] = num[i + k]
+    for i in range(len(num) - k - 1, -1, -1):
+        c = num[i + k]
         if c:
             for j, t in enumerate(tail):
                 if t:
                     num[i + j] -= c * t
-    return quot, num[:k] + [0] * (k - len(num))
+    return num[:k] + [0] * (k - len(num))
 
 
 def _descend(m: int, vec: list) -> tuple[int, list, int]:
@@ -93,11 +91,11 @@ def _descend(m: int, vec: list) -> tuple[int, list, int]:
                 proj = [0] * n
                 for j, c in enumerate(vec):
                     proj[j * inv % n] += c * (p - 1) if j % p == 0 else -c
-                proj = _divmod(proj, n)[1]
+                proj = _divmod(proj, n)
                 if p > 2:
                     lifted = [0] * m
                     lifted[:p * len(proj):p] = proj
-                    if _divmod(lifted, m)[1] != [c * (p - 1) for c in vec]:
+                    if _divmod(lifted, m) != [c * (p - 1) for c in vec]:
                         break
                     scale *= p - 1
                 vec = proj
@@ -108,7 +106,8 @@ def _descend(m: int, vec: list) -> tuple[int, list, int]:
 class CycloNum:
     """An exact element of a cyclotomic field, stored at its conductor m
     as integer numerators over one positive denominator, in lowest terms;
-    CycloNum(m, coeffs, den) is sum(coeffs[j] * zeta_m^j) / den."""
+    CycloNum(m, coeffs, den) is sum(coeffs[j] * zeta_m^j) / den for
+    integers coeffs[j] and den != 0."""
 
     __slots__ = ("m", "nums", "den")
 
@@ -117,111 +116,25 @@ class CycloNum:
             raise ValueError("modulus must be a positive integer")
         if not den:
             raise ZeroDivisionError("zero denominator")
-        nums = list(coeffs)
-        if not all(isinstance(c, int) for c in nums):
-            scale = lcm(*(Fraction(c).denominator for c in nums))
-            nums = [int(Fraction(c) * scale) for c in nums]
-            den *= scale
-        m, nums, scale = _descend(m, _divmod(nums, m)[1])
+        m, nums, scale = _descend(m, _divmod(list(coeffs), m))
         den *= scale
         g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         self.m = m
         self.nums = tuple(c // g for c in nums)
         self.den = den // g
 
-    @classmethod
-    def rational(cls, q) -> "CycloNum":
-        return cls(1, [Fraction(q)])
-
-    @classmethod
-    def zero(cls) -> "CycloNum":
-        return cls.rational(0)
-
-    @classmethod
-    def one(cls) -> "CycloNum":
-        return cls.rational(1)
-
     @property
     def coeffs(self) -> tuple:
         """The rational coordinates on the power basis of zeta_m."""
         return tuple(Fraction(c, self.den) for c in self.nums)
 
-    # -- ring operations
-
-    def _coerce(self, other):
-        if isinstance(other, CycloNum):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycloNum.rational(other)
-        return None
-
-    def _meet(self, o: "CycloNum"):
-        """Both operands as (exponent, numerator) terms at the lcm of the
-        two conductors, where zeta_m = zeta_big^(big/m)."""
-        big = lcm(self.m, o.m)
-        return big, *([(j * big // v.m, c) for j, c in enumerate(v.nums) if c]
-                      for v in (self, o))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        big, a, b = self._meet(o)
-        vec = [0] * big
-        for j, c in a:
-            vec[j] += c * o.den
-        for j, c in b:
-            vec[j] += c * self.den
-        return CycloNum(big, vec, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloNum(self.m, [-c for c in self.nums], self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        big, a, b = self._meet(o)
-        vec = [0] * big
-        for i, x in a:
-            for j, y in b:
-                vec[(i + j) % big] += x * y
-        return CycloNum(big, vec, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            q = Fraction(other)
-            return CycloNum(self.m, [c * q.denominator for c in self.nums],
-                            self.den * q.numerator)
-        return NotImplemented
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, CycloNum):
             return NotImplemented
-        return (self.m, self.den, self.nums) == (o.m, o.den, o.nums)
+        return ((self.m, self.den, self.nums)
+                == (other.m, other.den, other.nums))
 
     def __hash__(self):
-        if self.m == 1:  # a rational value hashes like its Fraction
-            return hash(Fraction(self.nums[0], self.den))
         return hash((self.m, self.den, self.nums))
 
     # -- structure maps
@@ -235,9 +148,6 @@ class CycloNum:
         for j, c in enumerate(self.nums):
             vec[(j * k) % self.m] += c
         return CycloNum(self.m, vec, self.den)
-
-    def conjugate(self) -> "CycloNum":
-        return self.galois(-1)
 
     # -- views
 

@@ -97,9 +97,6 @@ def phi_symmetric(r: TorsionClass, beta: Number):
     if not 0 < beta < inf:
         raise ValueError(f"beta must be finite and positive, not {beta}")
     b = denominator_element(r)
-    # one factor per prime power p^e || b,
-    #   (N_p^(-e beta) - N_p^((1-e) beta - 1)) / (1 - 1/N_p),
-    # whose exponents are all negative, so no power overflows
     exact = isinstance(beta, int) or (
         isinstance(beta, Fraction) and beta.denominator == 1)
     if exact:
@@ -113,17 +110,16 @@ def phi_symmetric(r: TorsionClass, beta: Number):
                 f"the exact value at beta={k} has more than {limit} digits, "
                 "the limit of sys.get_int_max_str_digits(); pass beta as a "
                 "float for a numeric value")
-        val = Fraction(1)
-        for p, e in factor(b):
-            np_ = p.norm()
-            val *= Fraction((1 - np_ ** (k - 1)) * np_,
-                            np_ ** (e * k) * (np_ - 1))
-        return val
-    bf = float(beta)
-    val = 1.0
+    # one factor per prime power p^e || b,
+    #   (N_p^(-e beta) - N_p^((1-e) beta - 1)) / (1 - 1/N_p),
+    # whose exponents are all negative, so no power overflows; exact on
+    # a Fraction base for integer beta
+    beta = k if exact else float(beta)
+    val = Fraction(1) if exact else 1.0
     for p, e in factor(b):
-        np_ = p.norm()
-        val *= (np_ ** (-e * bf) - np_ ** ((1 - e) * bf - 1)) / (1 - 1 / np_)
+        np_ = Fraction(p.norm()) if exact else p.norm()
+        val *= ((np_ ** (-e * beta) - np_ ** ((1 - e) * beta - 1))
+                / (1 - 1 / np_))
     return val
 
 

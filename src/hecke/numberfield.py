@@ -81,12 +81,21 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed on {n}")
 
 
+def _kth_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
 def factor_int(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {p: exponent}, primes increasing;
     n must be nonzero.  After the primes in _WITNESSES every cofactor is
-    split until _is_prime accepts it: by isqrt when it is a square (the
-    norm of an inert prime p is p^2, on which rho needs about sqrt(p)
-    steps), else by Pollard rho."""
+    split until _is_prime accepts it: by its integer k-th root when it is
+    a perfect k-th power (the norm of an inert prime p is p^2, of p^3 it
+    is p^6, and rho needs about sqrt(p) steps on any power of p), else
+    by Pollard rho."""
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
@@ -100,10 +109,16 @@ def factor_int(n: int) -> dict[int, int]:
         m = stack.pop()
         if _is_prime(m):
             out[m] = out.get(m, 0) + 1
+            continue
+        # every prime factor of m is above 41, so a root below 43 ends it
+        k = 2
+        while (d := _kth_root(m, k)) > 41:
+            if d ** k == m:
+                stack += [d] * k
+                break
+            k += 1
         else:
-            d = isqrt(m)
-            if d * d != m:
-                d = _pollard_rho(m)
+            d = _pollard_rho(m)
             stack += (d, m // d)
     return dict(sorted(out.items()))
 

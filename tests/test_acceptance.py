@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hecke.cyclotomic import CycloNum, root_of_unity
+from hecke.cyclotomic import CycloNum
 from hecke.hecke_algebra import (HeckeElement, Monomial, adjoint, alpha,
                                  identity, mu, mul_hecke, theta)
 from hecke.kms import (KmsParams, eigenvalue_list, kms_identity_check,
@@ -169,7 +169,7 @@ def test_criterion_5_closed_form_state_values():
         .is_zero
     half_q = torsion_class(Q.elem(Fraction(1, 2)))
     assert phi_extreme_infty(half_q, CharacterPoint.make(Q, 2, 1)) \
-        == CycloNum.rational(-1)
+        == CycloNum(1, [-1])
 
 
 def test_criterion_6_partition_function_and_spectrum():
@@ -253,10 +253,8 @@ def test_criterion_8_galois_comparison():
     g = SymmetryElem.make(GAUSS, 5, 3)
     rep = compare_actions(r, chi, g)
     assert rep["equal"] is False
-    geo = (CycloNum.rational(2) + root_of_unity(5, 2)
-           + root_of_unity(5, 3)) / 4
-    ari = (CycloNum.rational(2) + root_of_unity(5, 1)
-           + root_of_unity(5, 4)) / 4
+    geo = CycloNum(5, [2, 0, 1, 1, 0], 4)  # (2 + zeta_5^2 + zeta_5^3)/4
+    ari = CycloNum(5, [2, 1, 0, 0, 1], 4)  # (2 + zeta_5 + zeta_5^4)/4
     assert rep["geometric_value"] == geo != ari == rep["arithmetic_value"]
     assert abs(rep["geometric_value"].numeric()
                - (2 + 2 * math.cos(6 * math.pi / 5)) / 4) < 1e-12

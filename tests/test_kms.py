@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 import hecke.kms as kms
-from hecke.cyclotomic import CycloNum, from_exponent, root_of_unity
+from hecke.cyclotomic import CycloNum
 from hecke.hecke_algebra import (HeckeElement, Monomial, adjoint, alpha,
                                  identity, mu, mul_hecke, theta)
 from hecke.kms import (KmsParams, eigenvalue_list, ideal_norms_up_to,
@@ -464,7 +464,7 @@ def test_partial_zeta_exact_and_float():
 def test_extreme_infty_frozen_values():
     chi_q = CharacterPoint.make(Q, 2, 1)
     half_q = torsion_class(Q.elem(Fraction(1, 2)))
-    assert phi_extreme_infty(half_q, chi_q) == CycloNum.rational(-1)
+    assert phi_extreme_infty(half_q, chi_q) == CycloNum(1, [-1])
 
     chi_g = CharacterPoint.make(GAUSS, 2, 1)
     half_g = torsion_class(GAUSS.elem(Fraction(1, 2)))
@@ -472,23 +472,22 @@ def test_extreme_infty_frozen_values():
 
     zero = torsion_class(Q.zero)
     assert phi_extreme_infty(zero, CharacterPoint.make(Q, 1, 1)) \
-        == CycloNum.one()
+        == CycloNum(1, [1])
 
     # Q(i), r = 1/5, w = 1: (2 + zeta_5 + zeta_5^4)/4
     chi5 = CharacterPoint.make(GAUSS, 5, 1)
     fifth = torsion_class(GAUSS.elem(Fraction(1, 5)))
     got = phi_extreme_infty(fifth, chi5)
-    want = (CycloNum.rational(2) + root_of_unity(5, 1)
-            + root_of_unity(5, 4)) / 4
-    assert got == want
+    assert got == CycloNum(5, [2, 1, 0, 0, 1], 4)
     assert abs(got.numeric() - (2 + 2 * math.cos(2 * math.pi / 5)) / 4) < 1e-12
 
 
 def test_extreme_infty_against_orbit_average():
     # reference: the mean of the roots of unity exp(2*pi*i*Tr(s*w/delta))
-    # over the classes s of the unit orbit of r, summed as cyclotomic
-    # numbers, with no use of the pairing module; the mean depends only
-    # on the multiset of exponents, so it is summed once per multiset
+    # over the classes s of the unit orbit of r, written as one count
+    # vector on the powers of zeta_L for the lcm L of the exponents'
+    # denominators, with no use of the pairing module; the mean depends
+    # only on the multiset of exponents, so it is built once per multiset
     means = {}
     checked = 0
     for d in (0, 1, 2, 3, 7, 163):
@@ -501,7 +500,11 @@ def test_extreme_infty_against_orbit_average():
                     exps = tuple(sorted((s.rep * chi.w / ctx.delta).trace() % 1
                                         for s in unit_orbit(r)))
                     if exps not in means:
-                        means[exps] = sum(map(from_exponent, exps)) / len(exps)
+                        big = math.lcm(*(e.denominator for e in exps))
+                        counts = [0] * big
+                        for e in exps:
+                            counts[int(e * big)] += 1
+                        means[exps] = CycloNum(big, counts, len(exps))
                     assert phi_extreme_infty(r, chi) == means[exps], \
                         (d, c, w, r)
                     checked += 1

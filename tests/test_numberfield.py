@@ -505,6 +505,29 @@ def test_factor_int(monkeypatch):
     assert time.perf_counter() - start < 0.5
 
 
+def test_factor_int_splits_prime_powers(monkeypatch):
+    # an inert prime p of Q(i) at exponent 3 has norm p^6; rho would need
+    # about sqrt(p) steps on p^3, p^5 or p^6, the k-th root needs none
+    rho, rho_calls = nf._pollard_rho, []
+    monkeypatch.setattr(nf, "_pollard_rho",
+                        lambda n: rho_calls.append(n) or rho(n))
+    p, q = 10 ** 14 + 31, 10 ** 14 + 67
+    for n, want in [(p ** 3, {p: 3}), (p ** 5, {p: 5}), (p ** 6, {p: 6}),
+                    (q ** 3, {q: 3}), (p ** 12, {p: 12})]:
+        start = time.perf_counter()
+        assert factor_int(n) == want
+        assert time.perf_counter() - start < 1
+    assert rho_calls == []
+    # rho splits off the small prime, the root finishes the cofactor p^2;
+    # p^2 * q^3 for q near p is no perfect power, and rho on it would
+    # need about sqrt(p) steps
+    for n, want in [(43 ** 7 * p ** 2, {43: 7, p: 2}),
+                    (10007 ** 3 * p ** 2, {10007: 3, p: 2})]:
+        start = time.perf_counter()
+        assert factor_int(n) == want
+        assert time.perf_counter() - start < 1
+
+
 def test_factor_int_against_trial_division():
     def trial(n):
         out, p = {}, 2

