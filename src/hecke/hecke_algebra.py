@@ -17,24 +17,31 @@ together with the derived rule theta_r mu_a = mu_a theta_{ar}.  Products
 of monomials are rewritten back into the basis with exact rational
 coefficients; no floating point enters anywhere.  Inside a product the
 commutative theta part is carried as integer numerators over one common
-denominator, and one Fraction is built per output monomial.
+denominator, and one Fraction is built per output monomial.  Its classes
+are worked on as reduced integer triples (e0 + e1*omega)/q: rotation by
+the units, sums over the lcm of two denominators, transport and division
+by the output slots, with each unit-orbit representative read from the
+orbit table of hecke.torsion by its integer key.
 
 Monomial labels are redundant: M(a, r, b) = M(c, s, d) exactly when
 a = c, b = d (as canonical generators with gcd(a, b) = 1) and r = w*s
 modulo (1/(ab))O for some unit w.  Canonicalization picks the minimal
 representative of that class, so equality of monomials is equality of
-stored triples.  Canonical labels and the range projections
-mu_g mu_g^* are memoized, keyed by integer triples, in bounded caches.
+stored triples.  Three memo tables, each keyed by integers and bounded:
+the canonical labels, the range projections mu_g mu_g^*, and the slot
+plans, the integer slot algebra of a product per quadruple of slots.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .numberfield import (FieldCtx, FieldElem, _numerators,
                           canonical_generator, divide_exact, gcd_gen,
                           make_ctx, residues)
-from .torsion import TorsionClass, orbit_canonical, reduce01, torsion_class
+from .torsion import (TorsionClass, _orbit_cache, orbit_canonical, reduce01,
+                      torsion_class)
 
 __all__ = [
     "Monomial", "HeckeElement", "identity", "mu", "theta", "theta_product",
@@ -163,19 +170,62 @@ def _theta_dict(r: TorsionClass) -> tuple:
     return 1, {orbit_canonical(r): 1}
 
 
+def _orbit_of(ctx: FieldCtx, e0: int, e1: int, q: int) -> TorsionClass:
+    """orbit_canonical of the class (e0 + e1*omega)/q, given as a reduced
+    triple with 0 <= e0, e1 < q, read from the orbit table by its integer
+    key; the class is built only on a miss."""
+    got = _orbit_cache.get((ctx.d, e0, e1, q))
+    if got is None:
+        got = orbit_canonical(TorsionClass(ctx, FieldElem(ctx, e0, e1, q)))
+    return got
+
+
+def _scaled_orbit(ctx: FieldCtx, r: TorsionClass, z0: int, z1: int
+                  ) -> TorsionClass:
+    """orbit_canonical of the class z*r for the integral z = z0 + z1*omega."""
+    t, e0, e1, q = ctx.t, r.rep.e0, r.rep.e1, r.rep.q
+    cross = e1 * z1
+    x0 = (e0 * z0 - ctx.n * cross) % q
+    x1 = (e0 * z1 + e1 * z0 + t * cross) % q
+    c = gcd(x0, x1, q)
+    if c != 1:
+        x0, x1, q = x0 // c, x1 // c, q // c
+    return _orbit_of(ctx, x0, x1, q)
+
+
 def _theta_dict_mul(ctx: FieldCtx, F: tuple, G: tuple) -> tuple:
     # theta_r theta_s = (1/|units|) sum_w theta_{r + w s}, the unit-pair
-    # average collapsed along the overall unit scaling
-    units = ctx.units
-    rotated = [([t2.scaled(w) for w in units], n2) for t2, n2 in G[1].items()]
+    # average collapsed along the overall unit scaling; on the reduced
+    # triples of the classes: each class of G is rotated by the units,
+    # a sum is taken over lcm(p, q), and its orbit is read by integer key
+    t, n, d = ctx.t, ctx.n, ctx.d
+    units = [(u.e0, u.e1) for u in ctx.units]
+    rotated = []
+    for cls, n2 in G[1].items():
+        e0, e1, q = cls.rep.e0, cls.rep.e1, cls.rep.q
+        rotated.append((q, n2, [((e0 * w0 - n * e1 * w1) % q,
+                                 (e0 * w1 + e1 * w0 + t * e1 * w1) % q)
+                                for w0, w1 in units]))
+    cache = _orbit_cache
     out: dict = {}
     get = out.get
-    for t1, n1 in F[1].items():
-        for ts, n2 in rotated:
-            n = n1 * n2
-            for t2 in ts:
-                k = orbit_canonical(t1 + t2)
-                out[k] = get(k, 0) + n
+    for cls, n1 in F[1].items():
+        p0, p1, p = cls.rep.e0, cls.rep.e1, cls.rep.q
+        for q, n2, ws in rotated:
+            num = n1 * n2
+            L = p * q // gcd(p, q)
+            a, b = L // p, L // q
+            p0a, p1a = p0 * a, p1 * a
+            for w0, w1 in ws:
+                s0 = (p0a + w0 * b) % L
+                s1 = (p1a + w1 * b) % L
+                c = gcd(s0, s1, L)
+                key = ((d, s0, s1, L) if c == 1
+                       else (d, s0 // c, s1 // c, L // c))
+                k = cache.get(key)
+                if k is None:
+                    k = _orbit_of(ctx, *key[1:])
+                out[k] = get(k, 0) + num
     return F[0] * G[0] * len(units), {k: v for k, v in out.items() if v}
 
 
@@ -203,6 +253,43 @@ def _range_projection(d: int, g0: int, g1: int) -> tuple:
 # ---------------------------------------------------------------------------
 # the product engine
 
+# A sweep over sorted monomial pairs meets each slot quadruple (a, b, c, d)
+# in one run of left operands with equal slots, against at most 43 slot
+# pairs (c, d) at bound 8 (Q); with room for one such run the memo misses
+# once per quadruple, as an unbounded one would.
+_SLOT_MEMO = 1 << 7
+
+
+@lru_cache(maxsize=_SLOT_MEMO)
+def _slot_plan(tag: int, a0: int, a1: int, b0: int, b1: int, c0: int,
+               c1: int, d0: int, d1: int) -> tuple:
+    """What the product M(a, ., b) * M(c, ., d) needs of its four integral
+    slots, as integers: the cofactors b1 = b/g and c1 = c/g of
+    g = gcd(b, c), the range projection mu_g mu_g^* (None for a unit g),
+    the output slots Q and P, the transport multiplier a*d1, and conj(PQ)
+    with PQ*conj(PQ), the denominator of division by PQ."""
+    ctx = make_ctx(tag)
+    a, b, c, d = (FieldElem(ctx, x0, x1, 1)
+                  for x0, x1 in ((a0, a1), (b0, b1), (c0, c1), (d0, d1)))
+    g = gcd_gen(b, c)
+    b1 = _canon_div(b, g)
+    c1 = _canon_div(c, g)
+    proj = None if g.is_unit else _range_projection(tag, g.e0, g.e1)
+
+    E = canonical_generator(a * c1)
+    h = gcd_gen(E, d)
+    Q = _canon_div(E, h)
+    d1 = _canon_div(d, h)
+    P = canonical_generator(b1 * d1)
+    assert gcd_gen(P, Q).is_unit
+
+    mult = a * d1
+    PQ = canonical_generator(P * Q)
+    k = PQ.conj()
+    # one flat tuple, the smallest form of the up to _SLOT_MEMO kept alive
+    return (b1.e0, b1.e1, c1.e0, c1.e1, proj, Q.e0, Q.e1, P.e0, P.e1,
+            mult.e0, mult.e1, k.e0, k.e1, (PQ * k).e0)
+
 
 def _mul_monomials(m1: Monomial, m2: Monomial) -> dict:
     """Product of two canonical monomials as {Monomial: Fraction}.
@@ -214,36 +301,41 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> dict:
     theta_t -> theta_{(a d1) t}, and resolve the remaining shape
     mu_P H mu_Q^* through relation (III).  Coprimality of P and Q makes
     every branch of (III) land in one monomial class, with total
-    coefficient one.  H is integer numerators over one denominator, so
-    one Fraction is built per output monomial.
+    coefficient one.  The slot algebra comes from _slot_plan, H is
+    integer numerators over one denominator, and each output label
+    (a d1 t mod O)/PQ is computed on integer triples, so one Fraction is
+    built per output monomial.
     """
     ctx = m1.ctx
-    a, r, b = m1.a, m1.r, m1.b
-    c, s, d = m2.a, m2.r, m2.b
+    a, b, c, d = m1.a, m1.b, m2.a, m2.b
+    b10, b11, c10, c11, proj, Q0, Q1, P0, P1, u0, u1, k0, k1, nk = \
+        _slot_plan(ctx.d, a.e0, a.e1, b.e0, b.e1, c.e0, c.e1, d.e0, d.e1)
 
-    g = gcd_gen(b, c)
-    b1 = _canon_div(b, g)
-    c1 = _canon_div(c, g)
+    H = 1, {_scaled_orbit(ctx, m1.r, b10, b11): 1}
+    if proj is not None:
+        H = _theta_dict_mul(ctx, H, proj)
+    den, H = _theta_dict_mul(ctx, H,
+                             (1, {_scaled_orbit(ctx, m2.r, c10, c11): 1}))
 
-    H = _theta_dict(r.scaled(b1))
-    if not g.is_unit:
-        H = _theta_dict_mul(ctx, H, _range_projection(ctx.d, g.e0, g.e1))
-    den, H = _theta_dict_mul(ctx, H, _theta_dict(s.scaled(c1)))
-
-    E = canonical_generator(a * c1)
-    h = gcd_gen(E, d)
-    Q = _canon_div(E, h)
-    d1 = _canon_div(d, h)
-    P = canonical_generator(b1 * d1)
-    assert gcd_gen(P, Q).is_unit
-
-    mult = a * d1
-    PQ = canonical_generator(P * Q)
+    t, n = ctx.t, ctx.n
+    slots = (ctx.d, Q0, Q1, P0, P1)
     out: dict = {}
-    for t, n in H.items():
-        label = torsion_class(t.scaled(mult).rep / PQ)
-        m = Monomial.make(ctx, Q, label, P)
-        out[m] = out.get(m, 0) + n
+    get = out.get
+    for cls, num in H.items():
+        e0, e1, q = cls.rep.e0, cls.rep.e1, cls.rep.q
+        # x = mult*t reduced modulo O, then x/PQ = x*conj(PQ)/nk
+        cross = e1 * u1
+        x0 = (e0 * u0 - n * cross) % q
+        x1 = (e0 * u1 + e1 * u0 + t * cross) % q
+        cross = x1 * k1
+        y0 = x0 * k0 - n * cross
+        y1 = x0 * k1 + x1 * k0 + t * cross
+        yq = q * nk
+        g = gcd(y0, y1, yq)
+        if g != 1:
+            y0, y1, yq = y0 // g, y1 // g, yq // g
+        m = Monomial(ctx, *_canonical_label(*slots, y0 % yq, y1 % yq, yq))
+        out[m] = get(m, 0) + num
     return {k: Fraction(v, den) for k, v in out.items() if v}
 
 

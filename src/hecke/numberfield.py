@@ -17,7 +17,9 @@ fundamental sector, _sector_rows, lists the ideals up to a norm bound.
 factor_int trial-divides by the first 13 primes, _WITNESSES, and tests
 primality by Miller-Rabin to the same 13 bases, a proof below
 psi_13 ~ 3.3 * 10^24: every prime it reports is proven, and a probable
-prime beyond psi_13 raises ValueError.
+prime beyond psi_13 raises ValueError.  Cofactors that are no perfect
+power go to Brent's Pollard rho, within one budget of 2^22 steps per
+call: a number it cannot split in time raises ValueError too.
 """
 from __future__ import annotations
 
@@ -65,20 +67,60 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of a composite n free of the primes in
-    _WITNESSES."""
-    for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = _int_gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed on {n}")
+# Pollard rho's work bound for one factor_int call, in steps of the
+# iteration (2-3 s of CPython on a 2-core VM): it splits typical
+# cofactors whose least prime is near 10^12, and fails loudly beyond
+_RHO_BUDGET = 1 << 22
+_RHO_BATCH = 128
+
+
+def _pollard_rho(n: int):
+    """Brent's variant of Pollard rho (Brent, BIT 20 (1980) 176-184) on a
+    composite n free of the primes in _WITNESSES, with x -> x^2 + c from
+    x = 2 and one gcd per batch of _RHO_BATCH products.  A generator, so
+    that the caller meters the work: it yields the steps of each batch,
+    at most _RHO_BATCH, and returns a nontrivial factor of n."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for k in range(0, r, _RHO_BATCH):
+                m = min(_RHO_BATCH, r - k)
+                for _ in range(m):
+                    y = (y * y + c) % n
+                yield m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                m = min(_RHO_BATCH, r - k)
+                for _ in range(m):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                yield m
+                g = _int_gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            # the batch's product hit 0 mod n: redo it one gcd per step
+            yield m
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = _int_gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _split(m: int, budget: int) -> tuple[int, int]:
+    """A nontrivial factor of the composite m by _pollard_rho and the
+    steps left of the budget; ValueError when the budget runs out."""
+    run = _pollard_rho(m)
+    try:
+        while (budget := budget - next(run)) >= 0:
+            pass
+    except StopIteration as stop:
+        return stop.value, budget
+    raise ValueError(f"could not factor {m} within {_RHO_BUDGET} steps")
 
 
 def _kth_root(n: int, k: int) -> int:
@@ -95,7 +137,9 @@ def factor_int(n: int) -> dict[int, int]:
     split until _is_prime accepts it: by its integer k-th root when it is
     a perfect k-th power (the norm of an inert prime p is p^2, of p^3 it
     is p^6, and rho needs about sqrt(p) steps on any power of p), else
-    by Pollard rho."""
+    by Pollard rho, whose steps over the whole call are bounded by
+    _RHO_BUDGET: a cofactor that does not split within it raises
+    ValueError."""
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
@@ -105,6 +149,7 @@ def factor_int(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
+    budget = _RHO_BUDGET
     while stack:
         m = stack.pop()
         if _is_prime(m):
@@ -118,7 +163,7 @@ def factor_int(n: int) -> dict[int, int]:
                 break
             k += 1
         else:
-            d = _pollard_rho(m)
+            d, budget = _split(m, budget)
             stack += (d, m // d)
     return dict(sorted(out.items()))
 

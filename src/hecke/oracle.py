@@ -25,11 +25,12 @@ of scaling parts; each product coset is then keyed by integer
 arithmetic on the translation parts alone, and values are summed as
 integer numerators over one common denominator.  verify_equivalence
 stays on integers for each pair: it convolves the numerators of the two
-monomial images, computed once per monomial, and compares them with the
-engine's product scaled to the same denominator.  The arithmetic is the
-shared exact core of hecke.numberfield; what keeps the oracle
-independent of the rewrite engine is the coset model, not the field
-arithmetic.
+monomial images, computed once per monomial, with the pair plans against
+each right image built once per run of left monomials with equal slots,
+and compares them with the engine's product scaled to the same
+denominator.  The arithmetic is the shared exact core of
+hecke.numberfield; what keeps the oracle independent of the rewrite
+engine is the coset model, not the field arithmetic.
 """
 from __future__ import annotations
 
@@ -259,19 +260,23 @@ def _pair_plan(uni: _Universe, x1: FieldElem, x2: FieldElem,
     return x2 * inv, xc, tab, ws
 
 
-def _convolve_nums(uni: _Universe, nums1: dict, nums2: dict) -> dict:
+def _convolve_nums(uni: _Universe, nums1: dict, nums2: dict,
+                   plans: dict) -> dict:
     """The convolution of integer numerators on cosets.  The pair of
     support cosets (y1, x1) and (y2, x2) contributes n1 * n2 on the coset
     of (y2 + y1*x2, x1*x2), keyed by xc and the class of (y2 + y1*x2)/xc
     modulo O.  Zero sums are dropped.
 
-    The pairs are met in the order of nums1 by nums2, so cosets are
-    interned in the same order as by one prod_id call per pair.
+    `plans` holds the pair plans against nums2, by the triple of a left
+    scaling part, filled as they are met; a caller that convolves several
+    left operands with one right operand passes one dict for all of them,
+    to build each plan once.  The pairs are
+    met in the order of nums1 by nums2, so cosets are interned in the
+    same order as by one prod_id call per pair.
     """
-    runs = _scaled_runs(uni, nums2)
+    runs = None
     reps = uni.reps
     intern = uni.intern
-    plans: dict = {}
     out: dict = {}
     get = out.get
     for i, n1 in nums1.items():
@@ -280,6 +285,8 @@ def _convolve_nums(uni: _Universe, nums1: dict, nums2: dict) -> dict:
         xtag = (x1.e0, x1.e1, x1.q)
         plan = plans.get(xtag)
         if plan is None:
+            if runs is None:
+                runs = _scaled_runs(uni, nums2)
             plan = plans[xtag] = [_pair_plan(uni, x1, x2, right)
                                   for x2, right in runs]
         for a, xc, tab, ws in plan:
@@ -302,7 +309,7 @@ def _convolve_nums(uni: _Universe, nums1: dict, nums2: dict) -> dict:
 def _convolve_data(uni: _Universe, d1: dict, d2: dict) -> dict:
     """_convolve_nums on Fraction values."""
     (den1, nums1), (den2, nums2) = _numerators(d1), _numerators(d2)
-    out = _convolve_nums(uni, nums1, nums2)
+    out = _convolve_nums(uni, nums1, nums2, {})
     return {k: Fraction(v, den1 * den2) for k, v in out.items()}
 
 
@@ -541,8 +548,14 @@ def verify_equivalence(ctx: FieldCtx, bound: int) -> dict:
               "checked": 0, "failed": 0, "failures": []}
     uni = _universe(ctx)
     images = {m: _numerators(_phi_data(m)) for m in mons}
+    slots = plans = None
     for m1 in mons:
         den1, nums1 = images[m1]
+        # the image of M(a, r, b) lies over the one scaling part of b/a,
+        # and mons are sorted by slots: the pair plans against each right
+        # image are kept while the left slots stay the same
+        if (m1.a, m1.b) != slots:
+            slots, plans = (m1.a, m1.b), {m: {} for m in mons}
         for m2 in mons:
             report["checked"] += 1
             den2, nums2 = images[m2]
@@ -550,7 +563,7 @@ def verify_equivalence(ctx: FieldCtx, bound: int) -> dict:
                 prod = _mul_monomials(m1, m2)
                 kappa = _product_scale(m1, m2, prod)
                 # the convolution, as integers over den1 * den2
-                got = _convolve_nums(uni, nums1, nums2)
+                got = _convolve_nums(uni, nums1, nums2, plans[m2])
                 # kappa * sum of q * Phi(m), as integers over one denominator
                 parts = []
                 den = 1

@@ -109,16 +109,20 @@ def unit_orbit(r: TorsionClass) -> set[TorsionClass]:
     return {r.scaled(u) for u in r.ctx.units}
 
 
-_orbit_cache: dict[TorsionClass, TorsionClass] = {}
+# keyed by (d, e0, e1, q), the field tag and the reduced triple of the
+# class, so that the engine can look a class up without building it
+_orbit_cache: dict[tuple, TorsionClass] = {}
 
 
 def orbit_canonical(r: TorsionClass) -> TorsionClass:
     """Deterministic representative of the unit orbit of r."""
-    cached = _orbit_cache.get(r)
+    t = r.rep
+    key = (r.ctx.d, t.e0, t.e1, t.q)
+    cached = _orbit_cache.get(key)
     if cached is not None:
         return cached
     out = min(unit_orbit(r))
-    _orbit_cache[r] = out
+    _orbit_cache[key] = out
     return out
 
 

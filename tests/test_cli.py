@@ -4,18 +4,27 @@ Frozen outputs come from the hand-checked state values and the oracle
 sweep; determinism is asserted byte for byte, and every exact string in
 the JSON is reparsed and compared against its float rendering.
 """
+import importlib.util
 import json
 import math
+import os
 import shlex
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from hecke.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "cli_contract", ROOT / "ci" / "cli_contract.py")
+cli_contract = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_contract)
 
 
 def run_ok(*args, env=None):
@@ -441,3 +450,14 @@ def test_fuzz_exit_codes_and_json(invocation):
         (args, text, res.exception)
     if res.exit_code == 0:
         json.loads(res.stdout)
+
+
+@pytest.mark.parametrize("row", cli_contract.ROWS, ids=lambda row: row.name)
+def test_cli_contract_row(row):
+    # the rows CI runs against the installed console script, here run
+    # through `python -m hecke.cli` on the source tree
+    path = os.pathsep.join(p for p in (str(ROOT / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    why = cli_contract.run_row(row, [sys.executable, "-m", "hecke.cli"], env)
+    assert why is None, why

@@ -8,15 +8,21 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hecke.hecke_algebra as ha
 from hecke.hecke_algebra import (HeckeElement, Monomial, _alpha_dict,
-                                 _canonical_label, _range_projection,
+                                 _canonical_label, _mul_monomials,
+                                 _range_projection, _slot_plan,
                                  _theta_dict_mul, alpha, beta_endo,
                                  dynamics_weight, identity, mu, sigma_i_beta,
                                  theta, theta_product)
-from hecke.numberfield import SUPPORTED_D, ideals_up_to, make_ctx, residues
+from hecke.numberfield import (SUPPORTED_D, canonical_generator, divide_exact,
+                               gcd_gen, ideals_up_to, make_ctx, residues)
+from hecke.oracle import enumerate_monomials
 from hecke.torsion import orbit_canonical, torsion_class
 
 
@@ -393,3 +399,141 @@ def test_monomial_slot_validation():
         Monomial.make(ctx, 0, ctx.zero, 2)
     with pytest.raises(ValueError):
         Monomial.make(ctx, ctx.elem(Fraction(1, 2)), ctx.zero, 1)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels of the engine against the object-based rewriting
+# they replaced: sums and rotations of TorsionClass objects, slot algebra
+# on FieldElem objects and labels through Monomial.make
+
+
+def _ref_theta_dict_mul(ctx, F, G):
+    # relation (II.3) collapsed along the overall unit scaling, with the
+    # same iteration order as the engine
+    units = ctx.units
+    rotated = [([t2.scaled(w) for w in units], n2) for t2, n2 in G[1].items()]
+    out = {}
+    for t1, n1 in F[1].items():
+        for ts, n2 in rotated:
+            for t2 in ts:
+                k = orbit_canonical(t1 + t2)
+                out[k] = out.get(k, 0) + n1 * n2
+    return F[0] * G[0] * len(units), {k: v for k, v in out.items() if v}
+
+
+def _ref_div(x, g):
+    q = divide_exact(x, g)
+    assert q is not None
+    return canonical_generator(q)
+
+
+def _ref_mul_monomials(m1, m2):
+    ctx = m1.ctx
+    a, r, b = m1.a, m1.r, m1.b
+    c, s, d = m2.a, m2.r, m2.b
+    g = gcd_gen(b, c)
+    b1, c1 = _ref_div(b, g), _ref_div(c, g)
+    H = 1, {orbit_canonical(r.scaled(b1)): 1}
+    if not g.is_unit:
+        H = _ref_theta_dict_mul(ctx, H, _range_projection(ctx.d, g.e0, g.e1))
+    den, H = _ref_theta_dict_mul(ctx, H, (1, {orbit_canonical(s.scaled(c1)): 1}))
+    E = canonical_generator(a * c1)
+    h = gcd_gen(E, d)
+    Q, d1 = _ref_div(E, h), _ref_div(d, h)
+    P = canonical_generator(b1 * d1)
+    assert gcd_gen(P, Q).is_unit
+    mult = a * d1
+    PQ = canonical_generator(P * Q)
+    out = {}
+    for t, n in H.items():
+        m = Monomial.make(ctx, Q, torsion_class(t.scaled(mult).rep / PQ), P)
+        out[m] = out.get(m, 0) + n
+    return {k: Fraction(v, den) for k, v in out.items() if v}
+
+
+@lru_cache(maxsize=len(SUPPORTED_D))
+def _kernel_pool(d):
+    ctx = make_ctx(d)
+    dens = ideals_up_to(ctx, 40)
+    return ctx, [(f, residues(f)) for f in dens], ideals_up_to(ctx, 5)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(SUPPORTED_D), st.randoms(use_true_random=False))
+def test_integer_kernels_match_object_references(d, rng):
+    # classes with denominators of norm <= 40 in all ten fields; the
+    # product slots share a factor p, so that g = gcd(b, c) is not a unit
+    # and a range projection enters the theta product
+    ctx, dens, slots = _kernel_pool(d)
+
+    def rand_class():
+        f, xs = rng.choice(dens)
+        return torsion_class(rng.choice(xs) / f)
+
+    def rand_part(size):
+        return rng.randint(1, 6), {orbit_canonical(rand_class()):
+                                   rng.choice((-3, -2, -1, 1, 2, 3))
+                                   for _ in range(size)}
+
+    # dict order is part of a result: the oracle interns cosets in it
+    F, G = rand_part(rng.randint(1, 3)), rand_part(rng.randint(1, 3))
+    (den, got), (want_den, want) = (_theta_dict_mul(ctx, F, G),
+                                    _ref_theta_dict_mul(ctx, F, G))
+    assert den == want_den and list(got.items()) == list(want.items())
+
+    def coprime_to(x):
+        return rng.choice([y for y in slots if gcd_gen(x, y).is_unit])
+
+    p = rng.choice(slots[1:])
+    b, c = p * rng.choice(slots), p * rng.choice(slots)
+    m1 = Monomial.make(ctx, coprime_to(b), rand_class(), b)
+    m2 = Monomial.make(ctx, c, rand_class(), coprime_to(c))
+    assert not gcd_gen(m1.b, m2.a).is_unit
+    for x, y in ((m1, m2), (m2, m1), (m1, m1)):
+        got, want = _mul_monomials(x, y), _ref_mul_monomials(x, y)
+        assert list(got.items()) == list(want.items()), (x, y)
+
+
+def test_mul_monomials_in_fields_without_euclid():
+    # criterion 1 sweeps no field past d19; here random canonical pairs of
+    # Q(sqrt(-43)), Q(sqrt(-67)) and Q(sqrt(-163)), whose least split
+    # primes are 11, 17 and 41: slots up to norm 50 reach them
+    rng = random.Random(163)
+    for d in (43, 67, 163):
+        ctx = make_ctx(d)
+        gens = ideals_up_to(ctx, 50)
+        slots = gens[:6] + [g for g in gens if g.e1]
+        dens = [(f, residues(f)) for f in gens]
+
+        def rand_monomial():
+            f, xs = rng.choice(dens)
+            return Monomial.make(ctx, rng.choice(slots), rng.choice(xs) / f,
+                                 rng.choice(slots))
+
+        for _ in range(150):
+            m1, m2 = rand_monomial(), rand_monomial()
+            got, want = _mul_monomials(m1, m2), _ref_mul_monomials(m1, m2)
+            assert list(got.items()) == list(want.items()), (m1, m2)
+
+
+def test_warm_products_build_no_classes(monkeypatch):
+    # a product met before reads every orbit by its integer key and every
+    # slot plan and label from its memo: no torsion class is built; 100
+    # pairs have at most 100 slot quadruples, within the plan memo
+    rng = random.Random(7)
+    pairs = []
+    for d in (0, 1, 3, 7):
+        mons = enumerate_monomials(make_ctx(d), 4)
+        pairs += [(rng.choice(mons), rng.choice(mons)) for _ in range(25)]
+    cold = [_mul_monomials(m1, m2) for m1, m2 in pairs]
+
+    def built(*args):
+        raise AssertionError(f"class built from {args!r}")
+
+    monkeypatch.setattr(ha, "orbit_canonical", built)
+    monkeypatch.setattr(ha, "TorsionClass", built)
+    misses = _slot_plan.cache_info().misses
+    assert [_mul_monomials(m1, m2) for m1, m2 in pairs] == cold
+    assert _slot_plan.cache_info().misses == misses
+    maxsize = _slot_plan.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0

@@ -545,6 +545,44 @@ def test_factor_int_against_trial_division():
         assert got == trial(n) and list(got) == sorted(got), n
 
 
+def test_factor_int_work_is_bounded(monkeypatch):
+    # rho needs about 10^7 steps on a product of two primes near 10^14,
+    # over the budget of 2^22 for one call: the call fails after 2-3 s on
+    # a 2-core VM, whose speed swings too widely for a tight time bound;
+    # rho without a budget took 12.5 s to split this product there
+    n = (10 ** 14 + 31) * (10 ** 14 + 67)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"could not factor {n} within "
+                                         f"{nf._RHO_BUDGET} steps"):
+        factor_int(n)
+    assert time.perf_counter() - start < 10
+    # the budget bounds the whole call: p*s splits in 1790 steps and p*q*s
+    # first splits off q in 1022 steps, then p*s overruns 2100 in total,
+    # 56 steps into the advance of y by 512 steps
+    p, q, s = 10 ** 6 + 3, 10 ** 6 + 33, 10 ** 6 + 37
+    monkeypatch.setattr(nf, "_RHO_BUDGET", 2100)
+    assert factor_int(p * s) == {p: 1, s: 1}
+    # rho reports its work in batches, so the call stops within one batch
+    # of the budget
+    rho, spent = nf._pollard_rho, []
+
+    def counted(m):
+        run = rho(m)
+        while True:
+            try:
+                steps = next(run)
+            except StopIteration as stop:
+                return stop.value
+            spent.append(steps)
+            yield steps
+
+    monkeypatch.setattr(nf, "_pollard_rho", counted)
+    with pytest.raises(ValueError, match=f"could not factor {p * s} within "
+                                         "2100 steps"):
+        factor_int(p * q * s)
+    assert 2100 < sum(spent) <= 2100 + nf._RHO_BATCH
+
+
 # psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13
 # prime bases (Sorenson and Webster, Math. Comp. 86 (2017))
 PSI12 = 318665857834031151167461
