@@ -82,6 +82,11 @@ ROWS = (
         ("kms", "--field", "q", "--beta", "inf", "--extreme", "--level",
          "9240", "--w", "1", "--r", "(1)/(9240)"), {}, 0, '"cyclotomic":',
         20),
+    # ground-state values are memoized per distinct input, so regularity
+    # at level norm 149 builds 22,052 values from 38 normal forms
+    Row("regularity_149",
+        ("regularity", "--field", "d1", "--level", "10+7*w"), {}, 0,
+        '"all_ok": true', 10),
     # a strong pseudoprime is factored and an unproven prime refused
     Row("psi12_factored",
         ("kms", "--field", "q", "--beta", "2", "--r", f"(1)/({PSI12})"), {},

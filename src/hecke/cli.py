@@ -271,9 +271,9 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
         raise click.UsageError("--extreme needs --level")
     chi = CharacterPoint.make(ctx, _elem(ctx, level), _elem(ctx, w_text))
     if beta_text in ("inf", "infinity"):
-        # cyclotomic reduction at a conductor up to N(c) sets the cost;
-        # default cap: Q level 9240 takes 0.3 s, 10010 2.2 s and 30030
-        # 22 s, d1 level 1000 (norm 10**6) 0.14 s
+        # dense cyclotomic reduction at a conductor up to N(c) sets the
+        # cost; default cap: Q level 9240 takes 0.2 s, 10010 1.4 s and
+        # 30030 13 s, d1 level 1000 (norm 10**6) 0.11 s
         _level_guard(chi.level_norm, 10 ** 4)
         out = _cyclo_json(phi_extreme_infty(r, chi))
         out.update({"beta": "inf", "field": ctx.tag,
@@ -358,9 +358,9 @@ def galois_cmd(field_tag: str, level: str, w_text: str, j_text: str,
     ctx = _field(field_tag)
     lvl = _elem(ctx, level)
     chi = CharacterPoint.make(ctx, lvl, _elem(ctx, w_text))
-    # cyclotomic reduction at a conductor up to N(c) sets the cost;
-    # default cap: Q level 10010 takes 4.8 s and 30030 49 s, d1 level
-    # 1000 (norm 10**6) 0.13 s
+    # dense cyclotomic reduction at a conductor up to N(c) sets the cost;
+    # default cap: Q level 9240 takes 0.5 s, 10010 2.8 s and 30030 40 s,
+    # d1 level 1000 (norm 10**6) 0.12 s
     _level_guard(chi.level_norm, 10 ** 4)
     g = SymmetryElem.make(ctx, lvl, _elem(ctx, j_text))
     rep = compare_actions(_torsion(ctx, r_text), chi, g)
@@ -384,8 +384,8 @@ def regularity_cmd(field_tag: str, level: str) -> None:
     simply transitively."""
     ctx = _field(field_tag)
     lvl = canonical_generator(_elem(ctx, level))
-    # default cap: level norm 149 takes 2.1-2.6 s and 45 MB, 449 takes
-    # 39-46 s and 733 MB
+    # default cap: level norm 149 takes 0.5 s and 20 MB, 449 takes 2.3 s
+    # and 32 MB, each distinct ground-state value reduced once
     _level_guard(int(lvl.norm()), 200)
     rep = regularity_check(lvl)
     _emit({**rep, "level": format_element(rep["level"])})

@@ -46,7 +46,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, gcd, inf, isqrt, log, log10, pi
+from math import exp, expm1, inf, isqrt, log, log10, pi
 from typing import Union
 
 from .cyclotomic import CycloNum
@@ -113,12 +113,21 @@ def phi_symmetric(r: TorsionClass, beta: Number):
     # one factor per prime power p^e || b,
     #   (N_p^(-e beta) - N_p^((1-e) beta - 1)) / (1 - 1/N_p),
     # whose exponents are all negative, so no power overflows; exact on
-    # a Fraction base for integer beta
-    beta = k if exact else float(beta)
-    val = Fraction(1) if exact else 1.0
+    # a Fraction base for integer beta.  In floats it is taken as
+    #   N_p^((1-e) beta - 1) * expm1((1 - beta) log N_p) / (1 - 1/N_p),
+    # which does not cancel near beta = 1
+    if exact:
+        val = Fraction(1)
+        for p, e in factor(b):
+            np_ = Fraction(p.norm())
+            val *= ((np_ ** (-e * k) - np_ ** ((1 - e) * k - 1))
+                    / (1 - 1 / np_))
+        return val
+    beta = float(beta)
+    val = 1.0
     for p, e in factor(b):
-        np_ = Fraction(p.norm()) if exact else p.norm()
-        val *= ((np_ ** (-e * beta) - np_ ** ((1 - e) * beta - 1))
+        np_ = p.norm()
+        val *= (np_ ** ((1 - e) * beta - 1) * expm1((1 - beta) * log(np_))
                 / (1 - 1 / np_))
     return val
 
@@ -382,12 +391,12 @@ def phi_extreme_infty(r: TorsionClass, chi: CharacterPoint) -> CycloNum:
     the unit orbit of r is hit |Stab(r)| times, so this is also the
     average over the orbit."""
     q, t0, t1 = _trace_numerators(r, chi)
-    nums = [(u.e0 * t0 + u.e1 * t1) % q for u in chi.ctx.units]
-    g = gcd(q, *nums)
-    counts = [0] * (q // g)  # how often each zeta_(q/g)^k occurs
-    for k in nums:
-        counts[k // g] += 1
-    return CycloNum(q // g, counts, len(nums))
+    units = chi.ctx.units
+    counts = {}  # how often each zeta_q^k occurs
+    for u in units:
+        k = (u.e0 * t0 + u.e1 * t1) % q
+        counts[k] = counts.get(k, 0) + 1
+    return CycloNum(q, counts, len(units))
 
 
 @lru_cache(maxsize=None)

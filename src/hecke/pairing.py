@@ -102,23 +102,31 @@ def _trace_numerators(r: TorsionClass,
     z = r*w/delta, so <u*r, chi> has exponent (u0*t0 + u1*t1)/q mod 1
     for an integral u = u0 + u1*omega.
 
+    With y = r*w = (s0 + s1*omega)/q, and delta = omega - conj(omega) =
+    2*omega - t, Tr(y/delta) = (y - conj(y))/delta = s1/q and
+    Tr(omega*y/delta) = (omega*y - conj(omega*y))/delta = (s0 + t*s1)/q;
+    over Q (delta = 1) the pair is (s0/q, 0).  All on integers.
+
     Requires the denominator of r to divide the level of chi; otherwise
     the value would depend on the lift of w.  It does exactly when c*r
-    is integral, which is checked with one product.
+    is integral, which is checked on the numerators of the product.
     """
-    if not (chi.c * r.rep).is_integral:
+    ctx = chi.ctx
+    t, n = ctx.t, ctx.n
+    e0, e1, q = r.rep.e0, r.rep.e1, r.rep.q
+    c0, c1 = chi.c.e0, chi.c.e1
+    if ((c0 * e0 - n * c1 * e1) % q
+            or (c0 * e1 + c1 * e0 + t * c1 * e1) % q):
         den = denominator_element(r)
         raise ValueError(
             f"denominator {format_element(den)} of the torsion class does "
             f"not divide the character level {format_element(chi.c)}")
-    ctx = chi.ctx
-    z = r.rep * chi.w / ctx.delta
-    e0, e1 = z.e0, z.e1
+    w0, w1 = chi.w.e0, chi.w.e1
+    s0 = e0 * w0 - n * e1 * w1
     if ctx.is_rational:
-        return z.q, e0, 0
-    t = ctx.t
-    # omega*z = (-n*e1 + (e0 + t*e1)*omega)/q, and Tr(x + y*omega) = 2x + t*y
-    return z.q, 2 * e0 + t * e1, t * (e0 + t * e1) - 2 * ctx.n * e1
+        return q, s0, 0
+    s1 = e0 * w1 + e1 * w0 + t * e1 * w1
+    return q, s1, s0 + t * s1
 
 
 def _unit_trace_numerators(r: TorsionClass, chi: CharacterPoint) -> tuple:

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hecke.cyclotomic
-from hecke.cyclotomic import (CycloNum, _reduction_tail, from_exponent,
-                              root_of_unity)
+from hecke.cyclotomic import (CycloNum, _normal_form, _reduction_tail,
+                              from_exponent, root_of_unity)
 
 
 def embed(v: CycloNum) -> complex:
@@ -142,6 +142,10 @@ def test_core_against_complex_embedding(value, t, rng):
         assert any(v.galois(k) != v for k in ks if gcd(k, m) == 1), (v, p)
     assert v.den > 0 and gcd(v.den, *v.nums) == 1
     assert abs(v.numeric() - want) <= 1e-9 and abs(embed(v) - want) <= 1e-9
+    # the memo is keyed by the sparse input and returns what the function
+    # computes on it
+    terms = tuple((j, c) for j, c in enumerate(vec) if c)
+    assert _triple(v) == _normal_form.__wrapped__(big, terms, den)
     # the same value written at t*M, plus zero sums, or negated
     lifted = [0] * (t * big)
     lifted[::t] = vec
@@ -161,6 +165,16 @@ def test_core_against_complex_embedding(value, t, rng):
             for j, c in enumerate(vec):
                 moved[j * k % big] += c
             assert v.galois(k) == CycloNum(big, moved, den), k
+
+
+def test_normal_form_memo_is_bounded_and_shared():
+    assert _normal_form.cache_info().maxsize is not None
+    # a value built twice, from a list, a dict or a Galois twist, shares
+    # one stored tuple of numerators
+    v = CycloNum(60, [3, 0, 1, 0, 0, 0, 0, 2], 4)
+    assert CycloNum(60, [3, 0, 1, 0, 0, 0, 0, 2], 4).nums is v.nums
+    assert CycloNum(60, {0: 3, 62: 1, 7: 2}, 4).nums is v.nums
+    assert v.galois(7).nums is v.galois(7).nums
 
 
 def test_galois_action():

@@ -121,6 +121,30 @@ def test_symmetric_state_frozen_values():
             phi_symmetric(half_q, bad)
 
 
+def test_symmetric_state_near_beta_one_against_mpmath():
+    # the float closed form against mpmath at 50 digits, at the same float
+    # beta; N^(-e beta) - N^((1-e) beta - 1) cancels near beta = 1, which
+    # cost 4.6e-5 relative at r = 1/2, beta = 1 + 2^-40
+    def want(b, beta):
+        with mpmath.workdps(50):
+            beta, val = mpmath.mpf(beta), mpmath.mpf(1)
+            for p in (2, 3):
+                e = 0
+                while b % p == 0:
+                    b, e = b // p, e + 1
+                if e:
+                    n = mpmath.mpf(p)
+                    val *= ((n ** (-e * beta) - n ** ((1 - e) * beta - 1))
+                            / (1 - 1 / n))
+            return val
+
+    for b, beta in [(2, 1 + 2.0 ** -40), (2, 1 + 1e-12), (6, 1 + 1e-9),
+                    (12, 1.5), (12, 1 + 1e-15), (6, 1 - 1e-10)]:
+        got = phi_symmetric(torsion_class(Q.elem(Fraction(1, b))), beta)
+        ref = want(b, beta)
+        assert abs((got - ref) / ref) <= 1e-12, (b, beta, got)
+
+
 def test_monomial_state_vanishes_off_diagonal():
     m = next(iter(mul_hecke(mu(Q.elem(2)), adjoint(mu(Q.elem(3)))).terms))
     assert phi_symmetric_monomial(m, 2) == 0

@@ -18,7 +18,8 @@ from hecke.cyclotomic import CycloNum
 from hecke.numberfield import (SUPPORTED_D, divide_exact, factor,
                                format_element, ideals_up_to, make_ctx,
                                reduce_mod, residues)
-from hecke.pairing import (CharacterPoint, _unit_trace_numerators,
+from hecke.pairing import (CharacterPoint, _trace_numerators,
+                           _unit_trace_numerators,
                            character_laws, pair, pair_exponent)
 from hecke.symmetry import level_group
 from hecke.torsion import (denominator_element, stabilizer_index,
@@ -233,22 +234,27 @@ def test_denominator_gate_matches_denominator_element():
 
 
 def test_unit_trace_numerators_against_field_traces():
-    # every field, every level of norm <= 30, two characters per level and
-    # every torsion point of the level: the integer numerators of the unit
-    # phases are exact Fraction traces
+    # every field, every level of norm <= 30, every unit residue w and
+    # every torsion point of the level: the integer numerators, computed
+    # with no field element and no division by delta, are the Fraction
+    # traces of the field product z = r*w/delta
     checked = 0
     for d in SUPPORTED_D:
         ctx = make_ctx(d)
+        assert ctx.units[0] == 1  # so want[0] is the pair of u = 1
         for c in ideals_up_to(ctx, 30):
-            for w in {ctx.one, level_group(c).units[-1]}:
+            pts = torsion_points(c)
+            for w in level_group(c).units:
                 chi = CharacterPoint.make(ctx, c, w)
-                for r in torsion_points(c):
+                for r in pts:
                     z = r.rep * chi.w / ctx.delta
+                    want = [((u * z).trace(), (ctx.omega * u * z).trace())
+                            for u in ctx.units]
+                    q, t0, t1 = _trace_numerators(r, chi)
+                    assert (Fraction(t0, q), Fraction(t1, q)) == want[0], \
+                        (d, c, w, r)
                     q, traces = _unit_trace_numerators(r, chi)
-                    assert len(traces) == len(ctx.units)
-                    for u, (a0, a1) in zip(ctx.units, traces):
-                        assert Fraction(a0, q) == (u * z).trace(), (d, c, r)
-                        assert Fraction(a1, q) == \
-                            (ctx.omega * u * z).trace(), (d, c, r)
-                        checked += 1
-    assert checked > 17_000
+                    assert [(Fraction(a0, q), Fraction(a1, q))
+                            for a0, a1 in traces] == want, (d, c, w, r)
+                    checked += 1
+    assert checked == 46_126
