@@ -283,8 +283,9 @@ def kms_cmd(field_tag: str, beta: str, r_text: str, extreme: bool,
         return
     kp = KmsParams(beta=float(beta_text), bound=bound)
     # the ideal arrays grow linearly with the bound, the residue sums
-    # and phases with N(c); default cap: bound and level norm 10**6
-    # take 0.8-1.1 s and 116 MB in d1, 0.9-1.0 s and 115 MB in d3
+    # and phases with N(c), and they set the peak, not the prime table;
+    # default cap: bound and level norm 10**6 take 0.7-1.0 s and 116 MB
+    # in d1, 0.8-1.0 s and 115 MB in d3
     _level_guard(max(kp.bound, chi.level_norm), 10 ** 6)
     val, err = phi_extreme_beta(r, chi, kp)
     _emit({"beta": beta_text, "bound": kp.bound, "err": err,

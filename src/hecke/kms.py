@@ -24,14 +24,15 @@ level.
 
 The partition function of the system is the Dedekind zeta function,
 computed as an Euler product with a certified truncation bound.  The
-primes come from one table per process: it is sieved up to the largest
-cutoff requested so far, at most _PRIME_BOUND_MAX, and sliced for every
-smaller cutoff, so a sweep over fields and beta pays for one sieve.  The
-product walks the table in blocks of _BLOCK primes, so its temporaries
-stay cache-sized, and sums the log factors of each block into one
-bucket per residue of p modulo |D|, on which the Kronecker character
-chi_D(p) depends: the character is applied to |D| bucket sums, not to
-every prime.
+primes come from one int32 table per process, about 7 MB at the cap: it
+is sieved in segments of _SEGMENT odd numbers up to the largest cutoff
+requested so far, at most _PRIME_BOUND_MAX, and sliced without a copy
+for every smaller cutoff, so a sweep over fields and beta pays for one
+sieve.  The product walks the table in blocks of _BLOCK primes, so its
+temporaries stay cache-sized, and sums the log factors of each block
+into one bucket per residue of p modulo |D|, on which the Kronecker
+character chi_D(p) depends: the character is applied to |D| bucket
+sums, not to every prime.
 
 The series run on numpy, which is imported inside the functions that
 sum them: the ideal arrays _ideal_arrays (one generator per ideal, one
@@ -86,10 +87,18 @@ class KmsParams:
 # the symmetric state
 
 
+def _exact_beta(beta: Number) -> bool:
+    """Whether the symmetric state at beta is exact: beta is an int or
+    an integral Fraction."""
+    return isinstance(beta, int) or (
+        isinstance(beta, Fraction) and beta.denominator == 1)
+
+
 def phi_symmetric(r: TorsionClass, beta: Number):
     """The symmetric equilibrium value on theta_r; exact when beta is an
-    integer, float otherwise.  beta must be finite and positive, and an
-    exact value with more digits than Python prints raises ValueError.
+    int or an integral Fraction, float otherwise.  beta must be finite
+    and positive, and an exact value with more digits than Python prints
+    raises ValueError.
 
     For 0 < beta <= 1 this is the unique equilibrium state.  For
     beta > 1 it is the symmetry-group average of the extreme states;
@@ -97,8 +106,7 @@ def phi_symmetric(r: TorsionClass, beta: Number):
     if not 0 < beta < inf:
         raise ValueError(f"beta must be finite and positive, not {beta}")
     b = denominator_element(r)
-    exact = isinstance(beta, int) or (
-        isinstance(beta, Fraction) and beta.denominator == 1)
+    exact = _exact_beta(beta)
     if exact:
         k = int(beta)
         # k stays an int in the comparison: k * log10(N_b) would overflow a
@@ -141,12 +149,12 @@ def phi_symmetric_monomial(m: Monomial, beta: Number):
     """
     if m.is_theta_type:
         return phi_symmetric(m.r, beta)
-    return Fraction(0) if isinstance(beta, int) else 0.0
+    return Fraction(0) if _exact_beta(beta) else 0.0
 
 
 def phi_symmetric_element(x: HeckeElement, beta: Number):
     """Linear extension of the symmetric state to the whole algebra."""
-    total = Fraction(0) if isinstance(beta, int) else 0.0
+    total = Fraction(0) if _exact_beta(beta) else 0.0
     for m, q in x.terms.items():
         total += q * phi_symmetric_monomial(m, beta)
     return total
@@ -237,35 +245,60 @@ def _series_tail(ctx: FieldCtx, bound: int, beta: float) -> float:
 
 
 # the largest prime cutoff zeta_k uses, and so the largest prime table
-# kept between calls (int64, about 15 MB at this cutoff)
+# kept between calls (int32, about 7 MB at this cutoff)
 _PRIME_BOUND_MAX = 30_000_000
 
 # primes per block of zeta_k: its temporaries are 512 KB arrays, not
 # arrays as long as the table
 _BLOCK = 1 << 16
 
+# odd numbers per segment of _sieve: its bool array is 256 KB, not as
+# long as the table
+_SEGMENT = 1 << 18
+
 
 def _sieve(limit: int):
-    """The primes up to limit as a read-only int64 array, by a sieve of
-    Eratosthenes over the odd numbers alone: index i stands for 2i + 1.
+    """The primes up to limit (< 2**31) as a read-only int32 array, by a
+    sieve of Eratosthenes over the odd numbers alone, in segments of
+    _SEGMENT odd numbers: index i stands for 2i + 1.
 
-    The table is built in the index array itself: index 0, standing for
-    1, is marked and becomes the slot of 2, so no second table-length
-    array is made."""
+    The odd primes up to sqrt(limit) come from the same sieve, one level
+    down.  Each segment's primes are written straight into one int32
+    table, allocated once and sized by Rosser and Schoenfeld's bound
+    pi(x) < 1.25506 x / ln x for x > 1 (Illinois J. Math. 6 (1962),
+    64-94, (3.6)); slack that is never written costs no resident
+    memory.  No table-length bool or int64 array is made."""
     import numpy as np
 
-    primes = np.array([], dtype=np.int64)
-    if limit >= 2:
-        odd = np.ones((limit + 1) // 2, dtype=bool)
-        for i in range(1, (isqrt(limit) - 1) // 2 + 1):
-            if odd[i]:
-                p = 2 * i + 1
-                odd[p * p // 2::p] = False
-        primes = np.flatnonzero(odd).astype(np.int64, copy=False)
-        del odd
-        primes *= 2
-        primes += 1
-        primes[0] = 2
+    if limit < 2:
+        primes = np.zeros(0, dtype=np.int32)
+        primes.flags.writeable = False
+        return primes
+    base = _sieve(isqrt(limit))[1:].tolist()  # the odd primes <= sqrt
+    table = np.empty(int(1.25506 * limit / log(limit)) + 1, dtype=np.int32)
+    table[0] = 2
+    count = 1
+    odd = (limit + 1) // 2  # indices 0 .. odd - 1, standing for 1 .. limit
+    segment = np.empty(min(_SEGMENT, odd), dtype=bool)
+    for lo in range(0, odd, _SEGMENT):
+        hi = min(lo + _SEGMENT, odd)
+        seg = segment[:hi - lo]
+        seg[:] = True
+        if lo == 0:
+            seg[0] = False  # 1
+        for p in base:
+            # the odd multiples of p sit at indices (p - 1)/2 mod p, the
+            # first one to strike at p*p // 2, the index of p*p
+            first = p * p // 2
+            if first >= hi:
+                break
+            seg[max(first, lo + ((p - 1) // 2 - lo) % p) - lo::p] = False
+        found = table[count:count + np.count_nonzero(seg)]
+        found[:] = np.flatnonzero(seg)  # the intp indices die here
+        found *= 2
+        found += 2 * lo + 1
+        count += len(found)
+    primes = table[:count]
     primes.flags.writeable = False
     return primes
 
@@ -277,11 +310,13 @@ _prime_table = (-1, None)
 
 
 def _primes_up_to(limit: int):
-    """The primes up to limit (>= 0) as a read-only int64 array.
+    """The primes up to limit (>= 0) as a read-only int32 array.
 
     The table is sieved once per process and sliced for every later
     cutoff at or below the largest one met so far; a larger cutoff
-    rebuilds it up to exactly that cutoff."""
+    rebuilds it up to exactly that cutoff.  The slice is found with an
+    int32 key: a Python int made numpy 2 copy the whole table to int64
+    on every call."""
     import numpy as np
 
     global _prime_table
@@ -289,7 +324,7 @@ def _primes_up_to(limit: int):
     if limit > covered:
         covered, primes = limit, _sieve(limit)
         _prime_table = covered, primes
-    return primes[:np.searchsorted(primes, limit, side="right")]
+    return primes[:np.searchsorted(primes, np.int32(limit), side="right")]
 
 
 @lru_cache(maxsize=None)
@@ -317,10 +352,11 @@ def zeta_k(ctx: FieldCtx, beta: Number,
     p > P is at most cb * P^(1-beta) / (beta-1) =: t, so the value is
     off by at most value * (exp(t) - 1).  Rounding: at most
     1e-15 * n * value, for every beta > 1.  Proof, with u = 2^(-53):
-      * p converts exactly; pow and log1p are within one unit in the
-        last place, and the relative condition number in x is at most
-        1/log(2) < 1.45 for log1p(-x) and at most 1 for log1p(x), as
-        x <= 1/2, so each term is off by at most 2.5u times its size.
+      * An int32 p converts to float64 exactly; pow and log1p are
+        within one unit in the last place, and the relative condition
+        number in x is at most 1/log(2) < 1.45 for log1p(-x) and at
+        most 1 for log1p(x), as x <= 1/2, so each term is off by at
+        most 2.5u times its size.
       * Each of the three sums adds terms of one sign, so every partial
         sum is at most the full sum in size and each inexact addition
         errs by at most u times it.  An addition to an exact zero (a
@@ -359,15 +395,22 @@ def zeta_k(ctx: FieldCtx, beta: Number,
     period = abs(ctx.discriminant)
     minus = np.zeros(period)  # sum of log1p(-x) per residue of p mod |D|
     plus = np.zeros(period)  # sum of log1p(x) per residue of p mod |D|
+    # block buffers, one set per call: x = p^(-beta), then log1p(-x) in
+    # place; y = log1p(x); r = p mod |D| as intp, which bincount reads
+    # without a cast
+    size = min(_BLOCK, len(primes))
+    xbuf, ybuf = np.empty(size), np.empty(size)
+    rbuf = np.empty(size, dtype=np.intp)
     for start in range(0, len(primes), _BLOCK):
         block = primes[start:start + _BLOCK]
-        x = block.astype(np.float64)
-        np.power(x, -bf, out=x)
+        x = np.power(block, -bf, out=xbuf[:len(block)], dtype=np.float64)
         if ctx.is_rational:
             minus += np.log1p(np.negative(x, out=x), out=x).sum()
             continue
-        residues = block % period
-        plus += np.bincount(residues, weights=np.log1p(x), minlength=period)
+        residues = np.remainder(block, period, out=rbuf[:len(block)],
+                                casting="unsafe")
+        plus += np.bincount(residues, minlength=period,
+                            weights=np.log1p(x, out=ybuf[:len(block)]))
         minus += np.bincount(residues, minlength=period,
                              weights=np.log1p(np.negative(x, out=x), out=x))
     log_val = -minus.sum()  # the rational zeta factor

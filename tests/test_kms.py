@@ -153,6 +153,22 @@ def test_monomial_state_vanishes_off_diagonal():
     assert phi_symmetric_monomial(m2, 2) == 0
 
 
+def test_integral_fraction_beta_is_exact_on_every_route():
+    # Fraction(2) is as exact as 2 on theta_r, on a monomial off the
+    # diagonal and on an element; a float beta stays float on all three
+    x = theta(Q.elem(Fraction(1, 6)))
+    off = next(iter(mul_hecke(mu(Q.elem(2)), adjoint(mu(Q.elem(3)))).terms))
+    for beta in (2, Fraction(2)):
+        assert type(phi_symmetric_element(x, beta)) is Fraction
+        assert phi_symmetric_element(x, beta) == Fraction(1, 6)
+        assert type(phi_symmetric_monomial(off, beta)) is Fraction
+        assert phi_symmetric_monomial(off, beta) == 0
+    for beta in (2.0, Fraction(3, 2)):
+        assert type(phi_symmetric_element(x, beta)) is float
+        assert type(phi_symmetric_monomial(off, beta)) is float
+    assert phi_symmetric_element(x, 2.0) == pytest.approx(1 / 6)
+
+
 def test_monomial_state_rescaling_law():
     # phi(alpha_a(1)) = N_a^(-beta), evaluated through the monomial route
     for ctx, gens in [(Q, [2, 3, 6]), (GAUSS, [2, 5]), (EISEN, [2, 3])]:
@@ -342,16 +358,36 @@ def test_zeta_monotone_in_beta_and_errors():
             zeta_k(Q, 2, tol=tol)
 
 
+def _by_trial_division(n):
+    return [p for p in range(2, n + 1)
+            if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def test_sieve_matches_trial_division(monkeypatch):
+    want = _by_trial_division(2000)
+    # one segment for all of these, then segments of 7 odd numbers, so
+    # that most cutoffs cross many segment edges
+    for segment in (kms._SEGMENT, 7):
+        monkeypatch.setattr(kms, "_SEGMENT", segment)
+        for n in range(2001):
+            got = kms._sieve(n)
+            assert got.dtype == np.int32 and not got.flags.writeable
+            assert got.tolist() == [p for p in want if p <= n], (segment, n)
+
+
+def test_sieve_at_the_cap():
+    primes = kms._sieve(3 * 10 ** 7)
+    assert primes.dtype == np.int32
+    assert len(primes) == 1_857_859  # pi(3e7)
+    assert primes[-1] == 29_999_999
+
+
 def _empty_prime_table(monkeypatch):
     # a fresh table for this test; monkeypatch puts the shared one back
     monkeypatch.setattr(kms, "_prime_table", (1, kms._sieve(1)))
 
 
 def test_prime_table_slices_match_trial_division(monkeypatch):
-    def by_trial_division(n):
-        return [p for p in range(2, n + 1)
-                if all(p % q for q in range(2, math.isqrt(p) + 1))]
-
     increasing = list(range(201))
     shuffled = increasing[:]
     random.Random(4).shuffle(shuffled)
@@ -360,8 +396,8 @@ def test_prime_table_slices_match_trial_division(monkeypatch):
         largest = 0
         for n in order:
             got = kms._primes_up_to(n)
-            assert got.dtype == np.int64
-            assert got.tolist() == by_trial_division(n), n
+            assert got.dtype == np.int32
+            assert got.tolist() == _by_trial_division(n), n
             assert not got.flags.writeable
             largest = max(largest, n)
             assert kms._prime_table[0] == max(largest, 1)  # sieved exactly
@@ -468,13 +504,29 @@ def test_zeta_and_sieve_memory_peaks():
         zeta_k.__wrapped__(GAUSS, 2.0)
         zeta_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        # the bool sieve (15 MB) and the table (15 MB), nothing more
+        # the int32 table sized by the bound on pi (8.7 MB allocated,
+        # 7.4 MB written) and one segment's temporaries, nothing more
         kms._sieve(kms._PRIME_BOUND_MAX)
         sieve_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert zeta_peak < 4e6, zeta_peak
-    assert sieve_peak < 32e6, sieve_peak
+    assert sieve_peak < 10e6, sieve_peak
+
+
+def test_warm_prime_table_sliced_without_a_copy():
+    # a slice is a view: the search key is int32, so numpy does not widen
+    # the whole table to int64 to compare it (15 MB at the cap)
+    kms._primes_up_to(kms._PRIME_BOUND_MAX)
+    tracemalloc.start()
+    try:
+        for limit in (kms._PRIME_BOUND_MAX, 10 ** 6):
+            tracemalloc.reset_peak()
+            kms._primes_up_to(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak < 1e6, (limit, peak)
+    finally:
+        tracemalloc.stop()
 
 
 def test_partial_zeta_exact_and_float():
