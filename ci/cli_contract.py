@@ -83,10 +83,19 @@ ROWS = (
          "9240", "--w", "1", "--r", "(1)/(9240)"), {}, 0, '"cyclotomic":',
         20),
     # ground-state values are memoized per distinct input, so regularity
-    # at level norm 149 builds 22,052 values from 38 normal forms
+    # at level norm 149 asks for 22,052 values and builds 149, on 38
+    # normal forms
     Row("regularity_149",
         ("regularity", "--field", "d1", "--level", "10+7*w"), {}, 0,
         '"all_ok": true', 10),
+    # a zero level is refused as by the other level commands, and level
+    # norm 226 is just over the default regularity cap of 200
+    Row("regularity_level_zero",
+        ("regularity", "--field", "d1", "--level", "0"), {}, 1,
+        "level must be a nonzero integral element", 10),
+    Row("regularity_cap",
+        ("regularity", "--field", "d1", "--level", "15+1*w"), {}, 2,
+        "exceeds the cap 200", 10),
     # a strong pseudoprime is factored and an unproven prime refused
     Row("psi12_factored",
         ("kms", "--field", "q", "--beta", "2", "--r", f"(1)/({PSI12})"), {},

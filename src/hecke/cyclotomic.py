@@ -108,10 +108,11 @@ def _descend(m: int, vec: list) -> tuple[int, list, int]:
     return m, vec, scale
 
 
-# One ground_states pass of the benchmark builds 6,600 values from 123
-# distinct inputs, and `regularity` at Q(i) level 10 + 7w (norm 149)
-# builds 22,052 from 38, at norm 449 201,152 from 113: each value is an
-# average of at most |O*| <= 6 roots of unity.  The bound keeps a
+# One ground_states pass of the benchmark builds 951 values from 123
+# distinct inputs: 366 unit averages (kms._unit_average builds each
+# once) and 585 Galois twists.  `regularity` at Q(i) level 10 + 7w
+# (norm 149) builds 149 from 38, at norm 449 449 from 113: each value is
+# an average of at most |O*| <= 6 roots of unity.  The bound keeps a
 # long-running process finite.
 _NORMAL_MEMO = 1 << 10
 

@@ -584,12 +584,27 @@ def reduce_mod(x: FieldElem, a: FieldElem) -> FieldElem:
     """Deterministic representative of x modulo the lattice a*O.
 
     Works for any nonzero a and any x; maps O into O when a is integral.
+    It is a*frac(x/a), taking the fractional part of each coordinate of
+    x/a.  x/a = x*conj(a)/N(a) has numerators y0, y1 over the positive
+    q = x.q * (a0^2 + t*a0*a1 + n*a1^2), with a = (a0 + a1*omega)/a.q;
+    the fractional parts of y0/q and y1/q do not depend on whether that
+    fraction is reduced, so the numerators are reduced mod q as they
+    are, and one constructor call multiplies back by a, whose gcd
+    normalization gives the canonical triple.
     """
     if a.is_zero:
         raise ZeroDivisionError("reduction modulo the zero ideal")
-    y = x / a
-    q = y.q
-    return a * FieldElem(a.ctx, y.e0 % q, y.e1 % q, q)
+    ctx = a.ctx
+    t, n = ctx.t, ctx.n
+    x0, x1, a0, a1, aq = x.e0, x.e1, a.e0, a.e1, a.q
+    b0 = a0 + t * a1
+    cross = x1 * a1
+    q = x.q * (a0 * b0 + n * a1 * a1)
+    y0 = (x0 * b0 + n * cross) * aq % q
+    y1 = (x1 * b0 - x0 * a1 - t * cross) * aq % q
+    cross = a1 * y1
+    return FieldElem(ctx, a0 * y0 - n * cross,
+                     a0 * y1 + a1 * y0 + t * cross, aq * q)
 
 
 def residues(a: FieldElem) -> tuple[FieldElem, ...]:

@@ -24,6 +24,10 @@ __all__ = ["CharacterPoint", "pair", "pair_exponent", "character_laws"]
 
 
 def _elem_key(x: FieldElem):
+    """Order by coordinate values; an integral element compares on its
+    numerators, which order it the same way with no Fraction."""
+    if x.q == 1:
+        return (x.e0, x.e1)
     return (x.c0, x.c1)
 
 

@@ -17,6 +17,14 @@ character point is deterministic; equality and hashing use the least
 residue of its coset j*O*, computed when asked for: two residues that
 differ by a global unit are the same group element.  Building, moving,
 multiplying or inverting an element never enumerates the group.
+
+The public constructors (CharacterPoint.make, .twisted, .restricted and
+SymmetryElem.make) check their input.  Residues the group builds itself
+are not checked again: level_group lists canonical unit residues at a
+canonical level, and a product of two such residues is a unit, so
+regularity_check, group_elements and act_geometric build their points
+and elements directly, reducing a product with reduce_mod.  The level
+tables are kept for the last _LEVEL_MEMO levels asked for.
 """
 from __future__ import annotations
 
@@ -53,6 +61,9 @@ class LevelGroup(NamedTuple):
     rep_of: dict
 
 
+# A ground_states pass of the benchmark builds 49 level groups; the bound
+# keeps a long-running process finite.  perfbench reads len(_level_cache).
+_LEVEL_MEMO = 256
 _level_cache: dict = {}
 
 
@@ -64,7 +75,10 @@ def _unit_coset(w: FieldElem, c: FieldElem) -> list[FieldElem]:
 
 
 def level_group(c: FieldElem) -> LevelGroup:
-    """The symmetry group at the level generated by c, built once."""
+    """The symmetry group at the level generated by c, built once while
+    it stays among the last _LEVEL_MEMO levels built."""
+    if c.is_zero or not c.is_integral:
+        raise ValueError("level must be a nonzero integral element")
     cc = canonical_generator(c)
     hit = _level_cache.get(cc)
     if hit is not None:
@@ -82,6 +96,8 @@ def level_group(c: FieldElem) -> LevelGroup:
             rep_of[z] = coset[0]
     reps = tuple(sorted(set(rep_of.values()), key=_elem_key))
     hit = _level_cache[cc] = LevelGroup(cc, units, image, reps, rep_of)
+    if len(_level_cache) > _LEVEL_MEMO:
+        del _level_cache[next(iter(_level_cache))]
     return hit
 
 
@@ -146,7 +162,7 @@ class SymmetryElem:
 def group_elements(c: FieldElem) -> list[SymmetryElem]:
     """The full symmetry group at level c, by canonical representatives."""
     grp = level_group(c)
-    return [SymmetryElem.make(c.ctx, grp.c, w) for w in grp.reps]
+    return [SymmetryElem(c.ctx, grp.c, w) for w in grp.reps]
 
 
 def act_geometric(g: SymmetryElem, chi: CharacterPoint) -> CharacterPoint:
@@ -154,7 +170,7 @@ def act_geometric(g: SymmetryElem, chi: CharacterPoint) -> CharacterPoint:
     if g.ctx.d != chi.ctx.d or g.c != chi.c:
         raise ValueError("symmetry element and character live at "
                          "different levels")
-    return chi.twisted(g.j)
+    return CharacterPoint(chi.ctx, chi.c, reduce_mod(g.j * chi.w, chi.c))
 
 
 def _ring(rr: int):
@@ -170,9 +186,10 @@ def _ring(rr: int):
 
 
 def _min_lift_norm(g: SymmetryElem, m: int) -> int:
-    """Norm of the smallest lift t of j mod c with gcd(N(t), m) = 1,
-    ties broken by coordinates; the search expands in rings and stops
-    once no farther ring can beat the best candidate found."""
+    """Norm of the smallest lift t of j mod c with gcd(N(t), m) = 1; the
+    search expands in rings and stops once no farther ring can beat the
+    best candidate found.  All on integers: t = j + c*(x + y*omega) and
+    N(t) come from the numerators of j and c."""
     ctx = g.ctx
     if ctx.is_rational:
         base, step = g.j.e0, g.c.e0
@@ -183,27 +200,33 @@ def _min_lift_norm(g: SymmetryElem, m: int) -> int:
         raise ValueError(
             f"no lift of {g.j!r} mod {g.c!r} has norm invertible "
             f"mod {m}; raise the level")
-    abs_c = float(g.c.norm()) ** 0.5
-    abs_j = float(g.j.norm()) ** 0.5
+    t, n = ctx.t, ctx.n
+    j0, j1, c0, c1 = g.j.e0, g.j.e1, g.c.e0, g.c.e1
+    # c*(x + y*omega) = (c0*x - n*c1*y) + (c1*x + (c0 + t*c1)*y)*omega
+    nc1, tc1 = n * c1, c0 + t * c1
+    norm_c = c0 * c0 + t * c0 * c1 + n * c1 * c1
+    b = 4 * (j0 * j0 + t * j0 * j1 + n * j1 * j1)
     best = None
-    rr = 0
-    while rr <= 3 * m + 6:
+    for rr in range(3 * m + 7):
         for x, y in _ring(rr):
-            t = g.j + g.c * ctx.elem(x, y)
-            nt = int(t.norm())
-            if gcd(nt, m) == 1:
-                cand = (nt, x, y)
-                if best is None or cand < best:
-                    best = cand
+            a0 = j0 + c0 * x - nc1 * y
+            a1 = j1 + c1 * x + tc1 * y
+            nt = a0 * a0 + t * a0 * a1 + n * a1 * a1
+            if (best is None or nt < best) and gcd(nt, m) == 1:
+                best = nt
         if best is not None:
-            # |z| >= rr/2 on the next ring, so norms from there on
-            # exceed (|c|(rr+1)/2 - |j|)^2
-            floor_next = max(0.0, abs_c * (rr + 1) / 2 - abs_j)
-            if floor_next * floor_next > best[0]:
-                return best[0]
-        rr += 1
+            # |z| >= (rr + 1)/2 on the next ring, so norms from there on
+            # are at least (|c|(rr + 1)/2 - |j|)^2; that exceeds best
+            # exactly when sqrt(a) > sqrt(b) + sqrt(e) for a = N(c)(rr+1)^2,
+            # b = 4N(j) and e = 4*best; squared, D = a - b - e > 0 and
+            # D^2 > 4be
+            a = norm_c * (rr + 1) ** 2
+            e = 4 * best
+            diff = a - b - e
+            if diff > 0 and diff * diff > 4 * b * e:
+                return best
     if best is not None:
-        return best[0]
+        return best
     raise ValueError(
         f"no lift of {g.j!r} mod {g.c!r} has norm invertible mod {m}; "
         "raise the level")
@@ -252,7 +275,7 @@ def regularity_check(c: FieldElem) -> dict:
 
     tuples = {}
     for w in units:
-        chi = CharacterPoint.make(ctx, cc, w)
+        chi = CharacterPoint(ctx, cc, w)
         tuples[w] = tuple(phi_extreme_infty(r, chi) for r in pts)
     extreme_classes = len(set(tuples.values()))
     counts_match = extreme_classes == order

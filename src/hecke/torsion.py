@@ -130,6 +130,7 @@ def torsion_points(c: FieldElem) -> list[TorsionClass]:
     """All classes killed by c, i.e. (1/c)O / O; there are norm(c) of them."""
     if not c.is_integral or c.is_zero:
         raise ValueError("torsion level must be a nonzero integral element")
-    pts = sorted(torsion_class(b / c) for b in residues(c))
+    pts = sorted((torsion_class(b / c) for b in residues(c)),
+                 key=TorsionClass.sort_key)
     assert len(set(pts)) == c.norm()
     return pts

@@ -37,7 +37,7 @@ from hecke.kms import (KmsParams, eigenvalue_list, ideal_norms_up_to,
 from hecke.numberfield import (SUPPORTED_D, _hermite,
                                canonical_generator, factor, ideals_up_to,
                                kronecker_symbol, make_ctx)
-from hecke.pairing import CharacterPoint, pair_exponent
+from hecke.pairing import CharacterPoint, _trace_numerators, pair_exponent
 from hecke.symmetry import level_group
 from hecke.torsion import torsion_class, torsion_points, unit_orbit
 
@@ -556,6 +556,21 @@ def test_extreme_infty_frozen_values():
     got = phi_extreme_infty(fifth, chi5)
     assert got == CycloNum(5, [2, 1, 0, 0, 1], 4)
     assert abs(got.numeric() - (2 + 2 * math.cos(2 * math.pi / 5)) / 4) < 1e-12
+
+
+def test_unit_average_memo_is_bounded_and_shared():
+    assert kms._unit_average.cache_info().maxsize is not None
+    # the class 1/5 paired with chi_1 at levels 5 and 10 has one key, so
+    # the two calls return one shared value
+    r = torsion_class(GAUSS.elem(Fraction(1, 5)))
+    v = phi_extreme_infty(r, CharacterPoint.make(GAUSS, 5, 1))
+    assert phi_extreme_infty(r, CharacterPoint.make(GAUSS, 10, 1)) is v
+    chi = CharacterPoint.make(EISEN, 7, EISEN.elem(3, 1))
+    for r in torsion_points(EISEN.elem(7)):
+        q, t0, t1 = _trace_numerators(r, chi)
+        key = (EISEN.d, q, t0 % q, t1 % q)
+        assert kms._unit_average(*key) == kms._unit_average.__wrapped__(*key)
+        assert phi_extreme_infty(r, chi) is kms._unit_average(*key)
 
 
 def test_extreme_infty_against_orbit_average():

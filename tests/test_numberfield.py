@@ -274,6 +274,29 @@ def test_reduce_mod_is_canonical():
     assert reduce_mod(x + a * ctx.elem(4, 9), a) == r
 
 
+def test_reduce_mod_against_division_form():
+    # reduce_mod takes the numerators of x/a over an unreduced
+    # denominator; the division form below reduces x/a first, and both
+    # must give one canonical triple, for integral and non-integral a
+    rng = random.Random(24)
+
+    def rand_elem(ctx):
+        c1 = Fraction(rng.randint(-40, 40), rng.randint(1, 9)) if ctx.d else 0
+        return ctx.elem(Fraction(rng.randint(-40, 40), rng.randint(1, 9)), c1)
+
+    for d in SUPPORTED_D:
+        ctx = make_ctx(d)
+        for _ in range(400):
+            x, a = rand_elem(ctx), rand_elem(ctx)
+            if a.is_zero:
+                continue
+            y = x / a
+            want = a * FieldElem(ctx, y.e0 % y.q, y.e1 % y.q, y.q)
+            got = reduce_mod(x, a)
+            assert (got.e0, got.e1, got.q) == (want.e0, want.e1, want.q), \
+                (d, x, a)
+
+
 def test_gcd_examples():
     ctx = make_ctx(1)
     g = gcd_gen(ctx.elem(1, 1), ctx.elem(2))

@@ -8,6 +8,7 @@ already part ways at level 5.  These tests pin the group laws, both
 actions, the transport identity, and the regularity report.
 """
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from hecke import symmetry
 from hecke.cyclotomic import CycloNum, from_exponent, root_of_unity
 from hecke.kms import phi_extreme_infty
-from hecke.numberfield import ideals_up_to, make_ctx, reduce_mod
+from hecke.numberfield import ideals_up_to, is_coprime, make_ctx, reduce_mod
 from hecke.pairing import CharacterPoint, pair
 from hecke.symmetry import (SymmetryElem, act_arithmetic, act_geometric,
                             compare_actions, group_elements, level_group,
@@ -25,6 +26,7 @@ from hecke.torsion import torsion_class, torsion_points
 Q = make_ctx(0)
 GAUSS = make_ctx(1)
 EISEN = make_ctx(3)
+D163 = make_ctx(163)
 
 
 def test_construction_and_class_equality():
@@ -267,3 +269,78 @@ def test_restriction_to_divisor_level_is_group_hom():
                 assert down(g1 * g2) == down(g1) * down(g2)
         images = {down(g) for g in els}
         assert images == set(group_elements(a))
+
+
+def _box_min_lift_norm(g, m):
+    """Reference for _min_lift_norm by FieldElem arithmetic: the least
+    N(t) over the lifts t = j + c*z with gcd(N(t), m) = 1, z = x + y*omega
+    in a box |x|, |y| <= R, positive lifts only over Q.  R doubles until
+    every z outside the box is provably too far: there |z| >= (R + 1)/2,
+    so N(t) >= (|c|(R + 1)/2 - |j|)^2, asked here to exceed twice the best
+    norm, a margin no float rounding can cross."""
+    ctx, c, j = g.ctx, g.c, g.j
+    rad = 4
+    while True:
+        if ctx.is_rational:
+            zs = [ctx.elem(x) for x in range(rad + 1)]
+        else:
+            zs = [ctx.elem(x, y) for x in range(-rad, rad + 1)
+                  for y in range(-rad, rad + 1)]
+        norms = [n for n in (int((j + c * z).norm()) for z in zs)
+                 if math.gcd(n, m) == 1]
+        if norms:
+            best = min(norms)
+            if ctx.is_rational:
+                return best
+            floor = math.sqrt(c.norm()) * (rad + 1) / 2 - math.sqrt(j.norm())
+            if floor > 0 and floor * floor > 2 * best:
+                return best
+        rad *= 2
+
+
+def test_min_lift_norm_against_box_search():
+    rng = random.Random(2410)
+    for ctx in (Q, GAUSS, EISEN, D163):
+        levels = ideals_up_to(ctx, 60)
+        for m in (1, 2, 3, 4, 12, 60, 2310):
+            for _ in range(12):
+                c = rng.choice(levels)
+                while True:
+                    j = ctx.elem(rng.randint(-40, 40),
+                                 rng.randint(-40, 40) if ctx.d else 0)
+                    if is_coprime(j, c):
+                        break
+                g = SymmetryElem.make(ctx, c, j)
+                assert symmetry._min_lift_norm(g, m) == \
+                    _box_min_lift_norm(g, m), (ctx.tag, c, j, m)
+
+
+def test_geometric_action_equals_validated_twist():
+    # act_geometric reduces j*w itself; the validated twist must agree
+    for ctx, cval in ((Q, 12), (GAUSS, 5), (EISEN, 7)):
+        c = ctx.elem(cval)
+        for w in level_group(c).units:
+            chi = CharacterPoint.make(ctx, c, w)
+            for g in group_elements(c):
+                assert act_geometric(g, chi) == chi.twisted(g.j)
+
+
+def test_level_group_rejects_a_bad_level():
+    for level in (GAUSS.zero, GAUSS.elem(Fraction(1, 2)), Q.zero,
+                  Q.elem(Fraction(3, 2))):
+        with pytest.raises(ValueError,
+                           match="level must be a nonzero integral element"):
+            level_group(level)
+        with pytest.raises(ValueError,
+                           match="level must be a nonzero integral element"):
+            regularity_check(level)
+
+
+def test_level_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(symmetry, "_level_cache", {})
+    first = level_group(Q.elem(1))
+    for k in range(2, 301):
+        level_group(Q.elem(k))
+        assert len(symmetry._level_cache) <= symmetry._LEVEL_MEMO
+    assert Q.elem(1) not in symmetry._level_cache
+    assert level_group(Q.elem(1)) == first
