@@ -9,10 +9,13 @@ satisfies omega^2 = t*omega - n with t in {0, 1}.  Every element is
 stored as reduced integers (e0 + e1*omega)/q over the basis (1, omega),
 so all ring operations, norms, residue systems, gcds and factorizations
 here are exact; the engine, torsion, the pairing and the coset oracle
-all share this one core.  Because the class number is one every ideal
-is principal, so a shortest nonzero vector of an ideal's lattice
-generates it: that is how gcd_gen finds a generator.  One walk over a
-fundamental sector, _sector_rows, lists the ideals up to a norm bound.
+all share this one core.  Loops that build no FieldElem, the pairing's
+traces and the ground-state lift search, take their products from
+_mul_numerators and _lift_norms here.  Because the class number is one
+every ideal is principal, so a shortest nonzero vector of an ideal's
+lattice generates it: that is how gcd_gen finds a generator.  One walk
+over a fundamental sector, _sector_rows, lists the ideals up to a norm
+bound.
 
 factor_int trial-divides by the first 13 primes, _WITNESSES, and tests
 primality by Miller-Rabin to the same 13 bases, a proof below
@@ -577,6 +580,33 @@ def divide_exact(x: FieldElem, y: FieldElem) -> FieldElem | None:
 
 
 # ---------------------------------------------------------------------------
+# arithmetic on numerators, for loops that build no FieldElem
+
+
+def _mul_numerators(ctx: FieldCtx, a0: int, a1: int,
+                   b0: int, b1: int) -> tuple[int, int]:
+    """The numerators of (a0 + a1*omega)*(b0 + b1*omega), by
+    omega^2 = t*omega - n; on Q (a1 = b1 = 0) the product a0*b0."""
+    cross = a1 * b1
+    return a0 * b0 - ctx.n * cross, a0 * b1 + a1 * b0 + ctx.t * cross
+
+
+def _lift_norms(j: FieldElem, c: FieldElem, points):
+    """N(j + c*(x + y*omega)) for each integer pair (x, y) in points, for
+    integral j and c in an imaginary quadratic field."""
+    ctx = c.ctx
+    t, n = ctx.t, ctx.n
+    j0, j1 = j.e0, j.e1
+    # c*(x + y*omega) = c0*x + c1*x*omega + y*(c*omega)
+    c0, c1 = c.e0, c.e1
+    w0, w1 = _mul_numerators(ctx, c0, c1, 0, 1)
+    for x, y in points:
+        a0 = j0 + c0 * x + w0 * y
+        a1 = j1 + c1 * x + w1 * y
+        yield a0 * a0 + t * a0 * a1 + n * a1 * a1
+
+
+# ---------------------------------------------------------------------------
 # residues and fractional ideal parts
 
 
@@ -586,8 +616,8 @@ def reduce_mod(x: FieldElem, a: FieldElem) -> FieldElem:
     Works for any nonzero a and any x; maps O into O when a is integral.
     It is a*frac(x/a), taking the fractional part of each coordinate of
     x/a.  x/a = x*conj(a)/N(a) has numerators y0, y1 over the positive
-    q = x.q * (a0^2 + t*a0*a1 + n*a1^2), with a = (a0 + a1*omega)/a.q;
-    the fractional parts of y0/q and y1/q do not depend on whether that
+    q = x.q * N(a0 + a1*omega), with a = (a0 + a1*omega)/a.q; the
+    fractional parts of y0/q and y1/q do not depend on whether that
     fraction is reduced, so the numerators are reduced mod q as they
     are, and one constructor call multiplies back by a, whose gcd
     normalization gives the canonical triple.
@@ -595,16 +625,13 @@ def reduce_mod(x: FieldElem, a: FieldElem) -> FieldElem:
     if a.is_zero:
         raise ZeroDivisionError("reduction modulo the zero ideal")
     ctx = a.ctx
-    t, n = ctx.t, ctx.n
-    x0, x1, a0, a1, aq = x.e0, x.e1, a.e0, a.e1, a.q
-    b0 = a0 + t * a1
-    cross = x1 * a1
-    q = x.q * (a0 * b0 + n * a1 * a1)
-    y0 = (x0 * b0 + n * cross) * aq % q
-    y1 = (x1 * b0 - x0 * a1 - t * cross) * aq % q
-    cross = a1 * y1
-    return FieldElem(ctx, a0 * y0 - n * cross,
-                     a0 * y1 + a1 * y0 + t * cross, aq * q)
+    a0, a1, aq = a.e0, a.e1, a.q
+    # conj(a0 + a1*omega) = (a0 + t*a1) - a1*omega
+    b0 = a0 + ctx.t * a1
+    q = x.q * _mul_numerators(ctx, a0, a1, b0, -a1)[0]
+    y0, y1 = _mul_numerators(ctx, x.e0, x.e1, b0, -a1)
+    y0, y1 = _mul_numerators(ctx, a0, a1, y0 * aq % q, y1 * aq % q)
+    return FieldElem(ctx, y0, y1, aq * q)
 
 
 def residues(a: FieldElem) -> tuple[FieldElem, ...]:

@@ -15,20 +15,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import CycloNum, from_exponent
-from .numberfield import (FieldCtx, FieldElem, canonical_generator,
-                          divide_exact, factor, format_element, is_coprime,
-                          reduce_mod, residues)
+from .numberfield import (FieldCtx, FieldElem, _mul_numerators,
+                          canonical_generator, divide_exact, factor,
+                          format_element, is_coprime, reduce_mod, residues)
 from .torsion import TorsionClass, denominator_element, torsion_points
 
 __all__ = ["CharacterPoint", "pair", "pair_exponent", "character_laws"]
 
 
 def _elem_key(x: FieldElem):
-    """Order by coordinate values; an integral element compares on its
-    numerators, which order it the same way with no Fraction."""
-    if x.q == 1:
-        return (x.e0, x.e1)
-    return (x.c0, x.c1)
+    """Order by coordinate values.  Callers pass integral elements
+    (residues, levels and divisor generators), whose numerators are their
+    coordinates."""
+    return (x.e0, x.e1)
 
 
 def _unit_residue(ctx: FieldCtx, c, x) -> tuple[FieldElem, FieldElem]:
@@ -116,31 +115,29 @@ def _trace_numerators(r: TorsionClass,
     is integral, which is checked on the numerators of the product.
     """
     ctx = chi.ctx
-    t, n = ctx.t, ctx.n
     e0, e1, q = r.rep.e0, r.rep.e1, r.rep.q
-    c0, c1 = chi.c.e0, chi.c.e1
-    if ((c0 * e0 - n * c1 * e1) % q
-            or (c0 * e1 + c1 * e0 + t * c1 * e1) % q):
+    k0, k1 = _mul_numerators(ctx, chi.c.e0, chi.c.e1, e0, e1)
+    if k0 % q or k1 % q:
         den = denominator_element(r)
         raise ValueError(
             f"denominator {format_element(den)} of the torsion class does "
             f"not divide the character level {format_element(chi.c)}")
-    w0, w1 = chi.w.e0, chi.w.e1
-    s0 = e0 * w0 - n * e1 * w1
+    s0, s1 = _mul_numerators(ctx, e0, e1, chi.w.e0, chi.w.e1)
     if ctx.is_rational:
         return q, s0, 0
-    s1 = e0 * w1 + e1 * w0 + t * e1 * w1
-    return q, s1, s0 + t * s1
+    return q, s1, s0 + ctx.t * s1
 
 
 def _unit_trace_numerators(r: TorsionClass, chi: CharacterPoint) -> tuple:
     """(q, [(a0, a1) per unit u of ctx.units]) with Tr(u*z) = a0/q and
     Tr(omega*u*z) = a1/q for z = r*w/delta; checked as _trace_numerators."""
     q, t0, t1 = _trace_numerators(r, chi)
-    t, n = chi.ctx.t, chi.ctx.n
-    # omega*u = -n*u1 + (u0 + t*u1)*omega for u = u0 + u1*omega
-    return q, [(u.e0 * t0 + u.e1 * t1, (u.e0 + t * u.e1) * t1 - n * u.e1 * t0)
-               for u in chi.ctx.units]
+    ctx = chi.ctx
+    out = []
+    for u in ctx.units:
+        v0, v1 = _mul_numerators(ctx, 0, 1, u.e0, u.e1)  # omega*u
+        out.append((u.e0 * t0 + u.e1 * t1, v0 * t0 + v1 * t1))
+    return q, out
 
 
 def pair_exponent(r: TorsionClass, chi: CharacterPoint) -> Fraction:

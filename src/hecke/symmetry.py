@@ -33,8 +33,9 @@ from typing import NamedTuple
 
 from .cyclotomic import CycloNum
 from .kms import phi_extreme_infty
-from .numberfield import (FieldCtx, FieldElem, canonical_generator, factor,
-                          is_coprime, reduce_mod, residues)
+from .numberfield import (FieldCtx, FieldElem, _lift_norms,
+                          canonical_generator, factor, is_coprime,
+                          reduce_mod, residues)
 from .pairing import CharacterPoint, _elem_key, _unit_residue
 from .torsion import TorsionClass, torsion_class, torsion_points
 
@@ -188,8 +189,8 @@ def _ring(rr: int):
 def _min_lift_norm(g: SymmetryElem, m: int) -> int:
     """Norm of the smallest lift t of j mod c with gcd(N(t), m) = 1; the
     search expands in rings and stops once no farther ring can beat the
-    best candidate found.  All on integers: t = j + c*(x + y*omega) and
-    N(t) come from the numerators of j and c."""
+    best candidate found.  All on integers: numberfield._lift_norms gives
+    N(j + c*z) from the numerators of j and c."""
     ctx = g.ctx
     if ctx.is_rational:
         base, step = g.j.e0, g.c.e0
@@ -200,18 +201,11 @@ def _min_lift_norm(g: SymmetryElem, m: int) -> int:
         raise ValueError(
             f"no lift of {g.j!r} mod {g.c!r} has norm invertible "
             f"mod {m}; raise the level")
-    t, n = ctx.t, ctx.n
-    j0, j1, c0, c1 = g.j.e0, g.j.e1, g.c.e0, g.c.e1
-    # c*(x + y*omega) = (c0*x - n*c1*y) + (c1*x + (c0 + t*c1)*y)*omega
-    nc1, tc1 = n * c1, c0 + t * c1
-    norm_c = c0 * c0 + t * c0 * c1 + n * c1 * c1
-    b = 4 * (j0 * j0 + t * j0 * j1 + n * j1 * j1)
+    norm_c = g.c.norm()
+    b = 4 * g.j.norm()
     best = None
     for rr in range(3 * m + 7):
-        for x, y in _ring(rr):
-            a0 = j0 + c0 * x - nc1 * y
-            a1 = j1 + c1 * x + tc1 * y
-            nt = a0 * a0 + t * a0 * a1 + n * a1 * a1
+        for nt in _lift_norms(g.j, g.c, _ring(rr)):
             if (best is None or nt < best) and gcd(nt, m) == 1:
                 best = nt
         if best is not None:

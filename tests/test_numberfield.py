@@ -18,11 +18,11 @@ from hypothesis import given, settings, strategies as st
 import hecke.numberfield as nf
 from hecke.errors import UnsupportedFieldError
 from hecke.numberfield import (
-    FieldElem, SUPPORTED_D, _assoc_key, _ideal_key, canonical_generator,
-    ctx_from_tag, divide_exact, factor, factor_int, format_element,
-    frac_ideal_parts, gcd_gen, ideals_up_to, is_coprime, kronecker_symbol,
-    make_ctx, parse_element, prime_elements_above, reduce_mod, residues,
-    splitting_type)
+    FieldElem, SUPPORTED_D, _assoc_key, _ideal_key, _lift_norms,
+    _mul_numerators, canonical_generator, ctx_from_tag, divide_exact,
+    factor, factor_int, format_element, frac_ideal_parts, gcd_gen,
+    ideals_up_to, is_coprime, kronecker_symbol, make_ctx, parse_element,
+    prime_elements_above, reduce_mod, residues, splitting_type)
 from hecke.torsion import reduce01
 
 
@@ -295,6 +295,30 @@ def test_reduce_mod_against_division_form():
             got = reduce_mod(x, a)
             assert (got.e0, got.e1, got.q) == (want.e0, want.e1, want.q), \
                 (d, x, a)
+
+
+def test_numerator_helpers_against_field_arithmetic():
+    # _mul_numerators and _lift_norms carry the omega^2 rule for loops that
+    # build no FieldElem; both must agree with FieldElem products
+    rng = random.Random(25)
+    for d in SUPPORTED_D:
+        ctx = make_ctx(d)
+        for _ in range(200):
+            a0, b0 = rng.randint(-50, 50), rng.randint(-50, 50)
+            a1, b1 = (rng.randint(-50, 50), rng.randint(-50, 50)) if d \
+                else (0, 0)
+            want = ctx.elem(a0, a1) * ctx.elem(b0, b1)
+            got = _mul_numerators(ctx, a0, a1, b0, b1)
+            assert got == (want.e0, want.e1)
+        if not d:
+            continue
+        for _ in range(40):
+            j = ctx.elem(rng.randint(-30, 30), rng.randint(-30, 30))
+            c = ctx.elem(rng.randint(-30, 30), rng.randint(-30, 30))
+            points = [(rng.randint(-9, 9), rng.randint(-9, 9))
+                      for _ in range(10)]
+            want = [(j + c * ctx.elem(x, y)).norm() for x, y in points]
+            assert list(_lift_norms(j, c, points)) == want, (d, j, c)
 
 
 def test_gcd_examples():
