@@ -385,8 +385,9 @@ def regularity_cmd(field_tag: str, level: str) -> None:
     simply transitively."""
     ctx = _field(field_tag)
     lvl = canonical_generator(_elem(ctx, level))
-    # default cap: level norm 149 takes 0.15 s and 19 MB, 449 takes 1.3 s
-    # and 20 MB, each distinct ground-state value built once
+    # default cap: level norm 149 takes 0.16 s and 19 MB, 449 takes 0.9-1.3 s
+    # and 19 MB, each distinct ground-state value built and each distinct
+    # state tuple hashed once
     _level_guard(int(lvl.norm()), 200)
     rep = regularity_check(lvl)
     _emit({**rep, "level": format_element(rep["level"])})

@@ -20,8 +20,8 @@ commutative theta part is carried as integer numerators over one common
 denominator, and one Fraction is built per output monomial.  Its classes
 are worked on as reduced integer triples (e0 + e1*omega)/q: rotation by
 the units, sums over the lcm of two denominators, transport and division
-by the output slots, with each unit-orbit representative read from the
-orbit table of hecke.torsion by its integer key.
+by the output slots, with products from hecke.numberfield and each
+unit-orbit representative from hecke.torsion, which owns the orbit table.
 
 Monomial labels are redundant: M(a, r, b) = M(c, s, d) exactly when
 a = c, b = d (as canonical generators with gcd(a, b) = 1) and r = w*s
@@ -37,10 +37,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .numberfield import (FieldCtx, FieldElem, _numerators,
+from .numberfield import (FieldCtx, FieldElem, _mul_numerators, _numerators,
                           canonical_generator, divide_exact, gcd_gen,
                           make_ctx, residues)
-from .torsion import (TorsionClass, _orbit_cache, orbit_canonical, reduce01,
+from .torsion import (TorsionClass, _orbit_of, orbit_canonical, reduce01,
                       torsion_class)
 
 __all__ = [
@@ -170,23 +170,12 @@ def _theta_dict(r: TorsionClass) -> tuple:
     return 1, {orbit_canonical(r): 1}
 
 
-def _orbit_of(ctx: FieldCtx, e0: int, e1: int, q: int) -> TorsionClass:
-    """orbit_canonical of the class (e0 + e1*omega)/q, given as a reduced
-    triple with 0 <= e0, e1 < q, read from the orbit table by its integer
-    key; the class is built only on a miss."""
-    got = _orbit_cache.get((ctx.d, e0, e1, q))
-    if got is None:
-        got = orbit_canonical(TorsionClass(ctx, FieldElem(ctx, e0, e1, q)))
-    return got
-
-
 def _scaled_orbit(ctx: FieldCtx, r: TorsionClass, z0: int, z1: int
                   ) -> TorsionClass:
     """orbit_canonical of the class z*r for the integral z = z0 + z1*omega."""
-    t, e0, e1, q = ctx.t, r.rep.e0, r.rep.e1, r.rep.q
-    cross = e1 * z1
-    x0 = (e0 * z0 - ctx.n * cross) % q
-    x1 = (e0 * z1 + e1 * z0 + t * cross) % q
+    q = r.rep.q
+    x0, x1 = _mul_numerators(ctx, r.rep.e0, r.rep.e1, z0, z1)
+    x0, x1 = x0 % q, x1 % q
     c = gcd(x0, x1, q)
     if c != 1:
         x0, x1, q = x0 // c, x1 // c, q // c
@@ -198,15 +187,12 @@ def _theta_dict_mul(ctx: FieldCtx, F: tuple, G: tuple) -> tuple:
     # average collapsed along the overall unit scaling; on the reduced
     # triples of the classes: each class of G is rotated by the units,
     # a sum is taken over lcm(p, q), and its orbit is read by integer key
-    t, n, d = ctx.t, ctx.n, ctx.d
-    units = [(u.e0, u.e1) for u in ctx.units]
+    units = ctx.units
     rotated = []
     for cls, n2 in G[1].items():
         e0, e1, q = cls.rep.e0, cls.rep.e1, cls.rep.q
-        rotated.append((q, n2, [((e0 * w0 - n * e1 * w1) % q,
-                                 (e0 * w1 + e1 * w0 + t * e1 * w1) % q)
-                                for w0, w1 in units]))
-    cache = _orbit_cache
+        ws = (_mul_numerators(ctx, e0, e1, u.e0, u.e1) for u in units)
+        rotated.append((q, n2, [(w0 % q, w1 % q) for w0, w1 in ws]))
     out: dict = {}
     get = out.get
     for cls, n1 in F[1].items():
@@ -220,11 +206,8 @@ def _theta_dict_mul(ctx: FieldCtx, F: tuple, G: tuple) -> tuple:
                 s0 = (p0a + w0 * b) % L
                 s1 = (p1a + w1 * b) % L
                 c = gcd(s0, s1, L)
-                key = ((d, s0, s1, L) if c == 1
-                       else (d, s0 // c, s1 // c, L // c))
-                k = cache.get(key)
-                if k is None:
-                    k = _orbit_of(ctx, *key[1:])
+                k = (_orbit_of(ctx, s0, s1, L) if c == 1
+                     else _orbit_of(ctx, s0 // c, s1 // c, L // c))
                 out[k] = get(k, 0) + num
     return F[0] * G[0] * len(units), {k: v for k, v in out.items() if v}
 
@@ -266,8 +249,8 @@ def _slot_plan(tag: int, a0: int, a1: int, b0: int, b1: int, c0: int,
     """What the product M(a, ., b) * M(c, ., d) needs of its four integral
     slots, as integers: the cofactors b1 = b/g and c1 = c/g of
     g = gcd(b, c), the range projection mu_g mu_g^* (None for a unit g),
-    the output slots Q and P, the transport multiplier a*d1, and conj(PQ)
-    with PQ*conj(PQ), the denominator of division by PQ."""
+    the output slots Q and P, the transport multiplier a*d1, and the
+    triple (k0 + k1*omega)/kq of 1/PQ, which divides a label by PQ."""
     ctx = make_ctx(tag)
     a, b, c, d = (FieldElem(ctx, x0, x1, 1)
                   for x0, x1 in ((a0, a1), (b0, b1), (c0, c1), (d0, d1)))
@@ -284,11 +267,10 @@ def _slot_plan(tag: int, a0: int, a1: int, b0: int, b1: int, c0: int,
     assert gcd_gen(P, Q).is_unit
 
     mult = a * d1
-    PQ = canonical_generator(P * Q)
-    k = PQ.conj()
+    inv = 1 / canonical_generator(P * Q)
     # one flat tuple, the smallest form of the up to _SLOT_MEMO kept alive
     return (b1.e0, b1.e1, c1.e0, c1.e1, proj, Q.e0, Q.e1, P.e0, P.e1,
-            mult.e0, mult.e1, k.e0, k.e1, (PQ * k).e0)
+            mult.e0, mult.e1, inv.e0, inv.e1, inv.q)
 
 
 def _mul_monomials(m1: Monomial, m2: Monomial) -> dict:
@@ -308,7 +290,7 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> dict:
     """
     ctx = m1.ctx
     a, b, c, d = m1.a, m1.b, m2.a, m2.b
-    b10, b11, c10, c11, proj, Q0, Q1, P0, P1, u0, u1, k0, k1, nk = \
+    b10, b11, c10, c11, proj, Q0, Q1, P0, P1, u0, u1, k0, k1, kq = \
         _slot_plan(ctx.d, a.e0, a.e1, b.e0, b.e1, c.e0, c.e1, d.e0, d.e1)
 
     H = 1, {_scaled_orbit(ctx, m1.r, b10, b11): 1}
@@ -317,20 +299,15 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> dict:
     den, H = _theta_dict_mul(ctx, H,
                              (1, {_scaled_orbit(ctx, m2.r, c10, c11): 1}))
 
-    t, n = ctx.t, ctx.n
     slots = (ctx.d, Q0, Q1, P0, P1)
     out: dict = {}
     get = out.get
     for cls, num in H.items():
         e0, e1, q = cls.rep.e0, cls.rep.e1, cls.rep.q
-        # x = mult*t reduced modulo O, then x/PQ = x*conj(PQ)/nk
-        cross = e1 * u1
-        x0 = (e0 * u0 - n * cross) % q
-        x1 = (e0 * u1 + e1 * u0 + t * cross) % q
-        cross = x1 * k1
-        y0 = x0 * k0 - n * cross
-        y1 = x0 * k1 + x1 * k0 + t * cross
-        yq = q * nk
+        # x = mult*t reduced modulo O, then x/PQ = x*(k0 + k1*omega)/kq
+        x0, x1 = _mul_numerators(ctx, e0, e1, u0, u1)
+        y0, y1 = _mul_numerators(ctx, x0 % q, x1 % q, k0, k1)
+        yq = q * kq
         g = gcd(y0, y1, yq)
         if g != 1:
             y0, y1, yq = y0 // g, y1 // g, yq // g
@@ -355,10 +332,6 @@ class HeckeElement:
         self.terms = clean
 
     # -- constructors
-
-    @staticmethod
-    def zero(ctx: FieldCtx) -> "HeckeElement":
-        return HeckeElement(ctx)
 
     @staticmethod
     def from_monomial(m: Monomial, coeff=1) -> "HeckeElement":

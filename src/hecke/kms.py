@@ -195,6 +195,8 @@ def _ideal_arrays(d: int, bound: int):
                    [hi - lo + 1 for _, lo, hi in rows])
     if ctx.is_rational:
         return xs, xs.copy(), ys  # the norm is x itself
+    # the norm form of numberfield._norm_numerators, written out here
+    # because it runs on whole numpy arrays, not on one pair of integers
     norms = xs + ctx.t * ys
     norms *= xs
     norms += ctx.n * ys * ys

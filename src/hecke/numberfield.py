@@ -9,13 +9,13 @@ satisfies omega^2 = t*omega - n with t in {0, 1}.  Every element is
 stored as reduced integers (e0 + e1*omega)/q over the basis (1, omega),
 so all ring operations, norms, residue systems, gcds and factorizations
 here are exact; the engine, torsion, the pairing and the coset oracle
-all share this one core.  Loops that build no FieldElem, the pairing's
-traces and the ground-state lift search, take their products from
-_mul_numerators and _lift_norms here.  Because the class number is one
-every ideal is principal, so a shortest nonzero vector of an ideal's
-lattice generates it: that is how gcd_gen finds a generator.  One walk
-over a fundamental sector, _sector_rows, lists the ideals up to a norm
-bound.
+all share this one core.  The omega^2 rule is written only in
+_mul_numerators and the norm form only in _norm_numerators; FieldElem and
+every loop that builds no FieldElem go through them.  Because the class
+number is one every ideal is principal, so a shortest nonzero vector of
+an ideal's lattice generates it: that is how gcd_gen finds a generator.
+One walk over a fundamental sector, _sector_rows, lists the ideals up to
+a norm bound.
 
 factor_int trial-divides by the first 13 primes, _WITNESSES, and tests
 primality by Miller-Rabin to the same 13 bases, a proof below
@@ -388,10 +388,8 @@ class FieldElem:
         if o is None:
             return NotImplemented
         ctx = self.ctx
-        a0, a1, b0, b1 = self.e0, self.e1, o.e0, o.e1
-        cross = a1 * b1
-        return FieldElem(ctx, a0 * b0 - ctx.n * cross,
-                         a0 * b1 + a1 * b0 + ctx.t * cross, self.q * o.q)
+        p0, p1 = _mul_numerators(ctx, self.e0, self.e1, o.e0, o.e1)
+        return FieldElem(ctx, p0, p1, self.q * o.q)
 
     __rmul__ = __mul__
 
@@ -401,15 +399,13 @@ class FieldElem:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by zero field element")
-        # x/y = x*conj(y)/N(y), and N(y) = N(b0 + b1*omega)/q^2
+        # x/y = x*conj(y)/N(y), with N(y) = N(b0 + b1*omega)/q^2 and
+        # conj(b0 + b1*omega) = (b0 + t*b1) - b1*omega
         ctx = self.ctx
-        t, n = ctx.t, ctx.n
-        a0, a1, b0, b1 = self.e0, self.e1, o.e0, o.e1
-        c0 = b0 + t * b1
-        cross = a1 * b1
-        return FieldElem(ctx, (a0 * c0 + n * cross) * o.q,
-                         (a1 * c0 - a0 * b1 - t * cross) * o.q,
-                         self.q * (b0 * b0 + t * b0 * b1 + n * b1 * b1))
+        b0, b1 = o.e0, o.e1
+        p0, p1 = _mul_numerators(ctx, self.e0, self.e1, b0 + ctx.t * b1, -b1)
+        return FieldElem(ctx, p0 * o.q, p1 * o.q,
+                         self.q * _norm_numerators(ctx, b0, b1))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -444,20 +440,18 @@ class FieldElem:
 
     def field_norm(self) -> Fraction:
         """N_{K/Q} as a signed rational (equals the element itself on Q)."""
-        e0, e1, q = self.e0, self.e1, self.q
         if self.ctx.is_rational:
-            return Fraction(e0, q)
-        return Fraction(e0 * e0 + self.ctx.t * e0 * e1 + self.ctx.n * e1 * e1,
-                        q * q)
+            return Fraction(self.e0, self.q)
+        return Fraction(_norm_numerators(self.ctx, self.e0, self.e1),
+                        self.q * self.q)
 
     def norm(self) -> int | Fraction:
         """|N_{K/Q}|: the int |O/xO| for integral x, else a Fraction."""
         if self.q != 1:
             return abs(self.field_norm())
-        ctx, e0, e1 = self.ctx, self.e0, self.e1
-        if ctx.is_rational:
-            return abs(e0)
-        return e0 * e0 + ctx.t * e0 * e1 + ctx.n * e1 * e1
+        if self.ctx.is_rational:
+            return abs(self.e0)
+        return _norm_numerators(self.ctx, self.e0, self.e1)
 
     def trace(self) -> Fraction:
         if self.ctx.is_rational:
@@ -476,11 +470,8 @@ class FieldElem:
 
     @property
     def is_unit(self) -> bool:
-        if self.q != 1:
-            return False
-        ctx, e0, e1 = self.ctx, self.e0, self.e1
-        return (e0 * e0 + ctx.t * e0 * e1 + ctx.n * e1 * e1 == 1
-                if e1 else e0 in (1, -1))
+        return (self.q == 1
+                and _norm_numerators(self.ctx, self.e0, self.e1) == 1)
 
     def __repr__(self):
         return f"<{format_element(self)} ({self.ctx.tag})>"
@@ -591,19 +582,23 @@ def _mul_numerators(ctx: FieldCtx, a0: int, a1: int,
     return a0 * b0 - ctx.n * cross, a0 * b1 + a1 * b0 + ctx.t * cross
 
 
+def _norm_numerators(ctx: FieldCtx, a0: int, a1: int) -> int:
+    """(a0 + a1*omega)*conj(a0 + a1*omega) = a0^2 + t*a0*a1 + n*a1^2, the
+    norm form; on Q (a1 = 0) the square a0^2."""
+    return a0 * a0 + ctx.t * a0 * a1 + ctx.n * a1 * a1
+
+
 def _lift_norms(j: FieldElem, c: FieldElem, points):
     """N(j + c*(x + y*omega)) for each integer pair (x, y) in points, for
     integral j and c in an imaginary quadratic field."""
     ctx = c.ctx
-    t, n = ctx.t, ctx.n
     j0, j1 = j.e0, j.e1
     # c*(x + y*omega) = c0*x + c1*x*omega + y*(c*omega)
     c0, c1 = c.e0, c.e1
     w0, w1 = _mul_numerators(ctx, c0, c1, 0, 1)
     for x, y in points:
-        a0 = j0 + c0 * x + w0 * y
-        a1 = j1 + c1 * x + w1 * y
-        yield a0 * a0 + t * a0 * a1 + n * a1 * a1
+        yield _norm_numerators(ctx, j0 + c0 * x + w0 * y,
+                               j1 + c1 * x + w1 * y)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +623,7 @@ def reduce_mod(x: FieldElem, a: FieldElem) -> FieldElem:
     a0, a1, aq = a.e0, a.e1, a.q
     # conj(a0 + a1*omega) = (a0 + t*a1) - a1*omega
     b0 = a0 + ctx.t * a1
-    q = x.q * _mul_numerators(ctx, a0, a1, b0, -a1)[0]
+    q = x.q * _norm_numerators(ctx, a0, a1)
     y0, y1 = _mul_numerators(ctx, x.e0, x.e1, b0, -a1)
     y0, y1 = _mul_numerators(ctx, a0, a1, y0 * aq % q, y1 * aq % q)
     return FieldElem(ctx, y0, y1, aq * q)

@@ -23,12 +23,13 @@ convolution groups each operand's support by scaling part, so the
 canonical generator of x1*x2*O and its inverse are found once per pair
 of scaling parts; each product coset is then keyed by integer
 arithmetic on the translation parts alone, and values are summed as
-integer numerators over one common denominator.  verify_equivalence
-stays on integers for each pair: it convolves the numerators of the two
-monomial images, computed once per monomial, with the pair plans against
-each right image built once per run of left monomials with equal slots,
-and compares them with the engine's product scaled to the same
-denominator.  The arithmetic is the shared exact core of
+integer numerators over one common denominator.  Each monomial image is
+held once, in that form; symbolic_to_oracle turns it into Fraction
+values.  verify_equivalence stays on integers for each pair: it
+convolves the numerators of the two monomial images, with the pair plans
+against each right image built once per run of left monomials with
+equal slots, and compares them with the engine's product scaled to the
+same denominator.  The arithmetic is the shared exact core of
 hecke.numberfield; what keeps the oracle independent of the rewrite
 engine is the coset model, not the field arithmetic.
 """
@@ -463,25 +464,29 @@ def expected_monomial_function(m: Monomial) -> CosetFunction:
 # the correspondence with the symbolic algebra
 
 
-def _std_data(uni: _Universe, fun, key) -> dict:
-    """Cached support data of a generator function fun(key) (nu_fun,
+def _std_data(uni: _Universe, fun, key) -> tuple:
+    """Cached (den, numerators) of a generator function fun(key) (nu_fun,
     nu_adj_fun or theta_fun), so repeated monomial images reuse it."""
     k = (fun, key)
     got = uni.std.get(k)
     if got is None:
-        got = uni.std[k] = fun(key).data
+        got = uni.std[k] = _numerators(fun(key).data)
     return got
 
 
-def _phi_data(m: Monomial) -> dict:
-    """Cached support data of the oracle image of one monomial."""
+def _phi_data(m: Monomial) -> tuple:
+    """Cached oracle image nu_a^* * theta_r * nu_b of one monomial, as
+    (den, numerators)."""
     uni = _universe(m.ctx)
     got = uni.phi.get(m)
     if got is None:
-        data = _convolve_data(uni, _std_data(uni, nu_adj_fun, m.a),
-                              _std_data(uni, theta_fun, m.r))
-        got = uni.phi[m] = _convolve_data(uni, data,
-                                          _std_data(uni, nu_fun, m.b))
+        den1, nums1 = _std_data(uni, nu_adj_fun, m.a)
+        den2, nums2 = _std_data(uni, theta_fun, m.r)
+        nums = _convolve_nums(uni, nums1, nums2, {})
+        # nu_b only now, after the cosets of the first product are interned
+        den3, nums3 = _std_data(uni, nu_fun, m.b)
+        got = uni.phi[m] = (den1 * den2 * den3,
+                            _convolve_nums(uni, nums, nums3, {}))
     return got
 
 
@@ -494,8 +499,10 @@ def symbolic_to_oracle(x: HeckeElement) -> CosetFunction:
     """
     out: dict = {}
     for m, q in x.terms.items():
-        for i, v in _phi_data(m).items():
-            out[i] = out.get(i, 0) + v * q
+        den, nums = _phi_data(m)
+        q /= den
+        for i, n in nums.items():
+            out[i] = out.get(i, 0) + n * q
     return CosetFunction(x.ctx, out)
 
 
@@ -547,10 +554,13 @@ def verify_equivalence(ctx: FieldCtx, bound: int) -> dict:
     report = {"field": ctx.tag, "bound": bound, "monomials": len(mons),
               "checked": 0, "failed": 0, "failures": []}
     uni = _universe(ctx)
-    images = {m: _numerators(_phi_data(m)) for m in mons}
+    phi = uni.phi
+    # every image first, so that its cosets are interned in sorted order
+    for m in mons:
+        _phi_data(m)
     slots = plans = None
     for m1 in mons:
-        den1, nums1 = images[m1]
+        den1, nums1 = phi[m1]
         # the image of M(a, r, b) lies over the one scaling part of b/a,
         # and mons are sorted by slots: the pair plans against each right
         # image are kept while the left slots stay the same
@@ -558,7 +568,7 @@ def verify_equivalence(ctx: FieldCtx, bound: int) -> dict:
             slots, plans = (m1.a, m1.b), {m: {} for m in mons}
         for m2 in mons:
             report["checked"] += 1
-            den2, nums2 = images[m2]
+            den2, nums2 = phi[m2]
             try:
                 prod = _mul_monomials(m1, m2)
                 kappa = _product_scale(m1, m2, prod)
@@ -568,10 +578,7 @@ def verify_equivalence(ctx: FieldCtx, bound: int) -> dict:
                 parts = []
                 den = 1
                 for m, q in prod.items():
-                    img = images.get(m)
-                    if img is None:
-                        img = images[m] = _numerators(_phi_data(m))
-                    dm, nums = img
+                    dm, nums = phi.get(m) or _phi_data(m)
                     kq = kappa * q
                     b = kq.denominator * dm
                     parts.append((kq.numerator, b, nums))

@@ -125,6 +125,8 @@ def _trace_numerators(r: TorsionClass,
     s0, s1 = _mul_numerators(ctx, e0, e1, chi.w.e0, chi.w.e1)
     if ctx.is_rational:
         return q, s0, 0
+    # the trace form of delta = 2*omega - t, derived above; no product or
+    # norm, so it stays here rather than in numberfield
     return q, s1, s0 + ctx.t * s1
 
 

@@ -187,10 +187,12 @@ def _ring(rr: int):
 
 
 def _min_lift_norm(g: SymmetryElem, m: int) -> int:
-    """Norm of the smallest lift t of j mod c with gcd(N(t), m) = 1; the
-    search expands in rings and stops once no farther ring can beat the
-    best candidate found.  All on integers: numberfield._lift_norms gives
-    N(j + c*z) from the numerators of j and c."""
+    """The least N(t) over the lifts t of j mod c with gcd(N(t), m) = 1;
+    over Q, the least such lift t >= 0, its own signed norm, which is not
+    the lift of least |t|.  The search expands in rings and stops once no
+    farther ring can beat the best norm found.  All on integers:
+    numberfield._lift_norms gives N(j + c*z) from the numerators of j
+    and c."""
     ctx = g.ctx
     if ctx.is_rational:
         base, step = g.j.e0, g.c.e0
@@ -209,12 +211,14 @@ def _min_lift_norm(g: SymmetryElem, m: int) -> int:
             if (best is None or nt < best) and gcd(nt, m) == 1:
                 best = nt
         if best is not None:
-            # |z| >= (rr + 1)/2 on the next ring, so norms from there on
-            # are at least (|c|(rr + 1)/2 - |j|)^2; that exceeds best
-            # exactly when sqrt(a) > sqrt(b) + sqrt(e) for a = N(c)(rr+1)^2,
-            # b = 4N(j) and e = 4*best; squared, D = a - b - e > 0 and
-            # D^2 > 4be
-            a = norm_c * (rr + 1) ** 2
+            # z = x + y*omega on ring R = max(|x|, |y|) >= 1 has N(z) >=
+            # 3R^2/4 in every field: R^2 - R|y| + n*y^2 >= R^2 - R^2/(4n)
+            # where |x| = R, n*R^2 - R^2/4 where |y| = R.  So from ring
+            # R = rr + 1 on, norms are at least (sqrt(3N(c))R/2 -
+            # sqrt(N(j)))^2 > best exactly when sqrt(a) > sqrt(b) + sqrt(e)
+            # for a = 3N(c)R^2, b = 4N(j), e = 4*best: D = a - b - e > 0
+            # and D^2 > 4be
+            a = 3 * norm_c * (rr + 1) ** 2
             e = 4 * best
             diff = a - b - e
             if diff > 0 and diff * diff > 4 * b * e:
@@ -267,24 +271,28 @@ def regularity_check(c: FieldElem) -> dict:
     order = len(reps)
     pts = torsion_points(cc)
 
-    tuples = {}
+    ids: dict = {}  # each distinct state tuple, hashed once, to its id
+    state_of = {}
     for w in units:
         chi = CharacterPoint(ctx, cc, w)
-        tuples[w] = tuple(phi_extreme_infty(r, chi) for r in pts)
-    extreme_classes = len(set(tuples.values()))
+        row = tuple(phi_extreme_infty(r, chi) for r in pts)
+        state_of[w] = ids.setdefault(row, len(ids))
+    extreme_classes = len(ids)
     counts_match = extreme_classes == order
-    orbits_align = all(tuples[w] == tuples[rep_of[w]] for w in units)
+    orbits_align = all(state_of[w] == state_of[rep_of[w]] for w in units)
 
     base = reps[0]
-    moved = [tuples[reduce_mod(j * base, cc)] for j in reps]
-    transitive = set(moved) == set(tuples.values())
+    moved = [state_of[reduce_mod(j * base, cc)] for j in reps]
+    transitive = set(moved) == set(range(extreme_classes))
     free = len(set(moved)) == order
 
     # both sides of phi(r, j*chi) = phi(j*r, chi) read from the table
     index = {r: i for i, r in enumerate(pts)}
+    states = list(ids)
+    at_base = states[state_of[base]]
     transport_ok = all(
-        state[i] == tuples[base][index[torsion_class(j * r.rep)]]
-        for j, state in zip(reps, moved) for i, r in enumerate(pts))
+        states[k][i] == at_base[index[torsion_class(j * r.rep)]]
+        for j, k in zip(reps, moved) for i, r in enumerate(pts))
 
     all_ok = (counts_match and orbits_align and transitive and free
               and transport_ok)

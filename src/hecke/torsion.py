@@ -3,11 +3,12 @@
 A class r + O is stored by its unique representative whose coordinates
 over the integral basis lie in [0, 1).  Multiplication is defined for
 integral multipliers only (non-integral ones do not act on K/O).
+The orbit table, _orbit_cache, is this module's own: _orbit_of reads it
+by the reduced triple of a class, building the class only on a miss.
 """
 from __future__ import annotations
 
-from .numberfield import (FieldCtx, FieldElem, canonical_generator,
-                          frac_ideal_parts, residues)
+from .numberfield import FieldCtx, FieldElem, frac_ideal_parts, residues
 
 __all__ = [
     "TorsionClass", "torsion_class", "reduce01", "denominator_element",
@@ -80,8 +81,7 @@ def denominator_element(r: TorsionClass) -> FieldElem:
     """Canonical integral q with {z in O : z*r in O} = qO."""
     if r.is_zero:
         return r.ctx.one
-    num, den = frac_ideal_parts(r.rep)
-    return canonical_generator(den)
+    return frac_ideal_parts(r.rep)[1]
 
 
 def stabilizer(r: TorsionClass) -> tuple[FieldElem, ...]:
@@ -110,20 +110,25 @@ def unit_orbit(r: TorsionClass) -> set[TorsionClass]:
 
 
 # keyed by (d, e0, e1, q), the field tag and the reduced triple of the
-# class, so that the engine can look a class up without building it
+# class; read and filled by _orbit_of alone
 _orbit_cache: dict[tuple, TorsionClass] = {}
+
+
+def _orbit_of(ctx: FieldCtx, e0: int, e1: int, q: int) -> TorsionClass:
+    """orbit_canonical of the class (e0 + e1*omega)/q, given as a reduced
+    triple with 0 <= e0, e1 < q; the class is built only on a miss."""
+    key = (ctx.d, e0, e1, q)
+    got = _orbit_cache.get(key)
+    if got is None:
+        got = _orbit_cache[key] = min(
+            unit_orbit(TorsionClass(ctx, FieldElem(ctx, e0, e1, q))))
+    return got
 
 
 def orbit_canonical(r: TorsionClass) -> TorsionClass:
     """Deterministic representative of the unit orbit of r."""
     t = r.rep
-    key = (r.ctx.d, t.e0, t.e1, t.q)
-    cached = _orbit_cache.get(key)
-    if cached is not None:
-        return cached
-    out = min(unit_orbit(r))
-    _orbit_cache[key] = out
-    return out
+    return _orbit_of(r.ctx, t.e0, t.e1, t.q)
 
 
 def torsion_points(c: FieldElem) -> list[TorsionClass]:

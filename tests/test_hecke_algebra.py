@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hecke.hecke_algebra as ha
+import hecke.torsion as torsion
 from hecke.hecke_algebra import (HeckeElement, Monomial, _alpha_dict,
                                  _canonical_label, _mul_monomials,
                                  _range_projection, _slot_plan,
@@ -517,9 +518,11 @@ def test_mul_monomials_in_fields_without_euclid():
 
 
 def test_warm_products_build_no_classes(monkeypatch):
-    # a product met before reads every orbit by its integer key and every
-    # slot plan and label from its memo: no torsion class is built; 100
-    # pairs have at most 100 slot quadruples, within the plan memo
+    # a product met before reads every orbit from the orbit table of
+    # hecke.torsion by its integer key, and every slot plan and label from
+    # its memo: no torsion class is built, in the engine or in torsion,
+    # where an orbit miss builds its class; 100 pairs have at most 100
+    # slot quadruples, within the plan memo
     rng = random.Random(7)
     pairs = []
     for d in (0, 1, 3, 7):
@@ -530,8 +533,11 @@ def test_warm_products_build_no_classes(monkeypatch):
     def built(*args):
         raise AssertionError(f"class built from {args!r}")
 
+    def constructed(self, ctx, rep):
+        raise AssertionError(f"class of {rep!r} built")
+
     monkeypatch.setattr(ha, "orbit_canonical", built)
-    monkeypatch.setattr(ha, "TorsionClass", built)
+    monkeypatch.setattr(torsion.TorsionClass, "__init__", constructed)
     misses = _slot_plan.cache_info().misses
     assert [_mul_monomials(m1, m2) for m1, m2 in pairs] == cold
     assert _slot_plan.cache_info().misses == misses

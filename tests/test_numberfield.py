@@ -19,7 +19,8 @@ import hecke.numberfield as nf
 from hecke.errors import UnsupportedFieldError
 from hecke.numberfield import (
     FieldElem, SUPPORTED_D, _assoc_key, _ideal_key, _lift_norms,
-    _mul_numerators, canonical_generator, ctx_from_tag, divide_exact,
+    _mul_numerators, _norm_numerators, canonical_generator, ctx_from_tag,
+    divide_exact,
     factor, factor_int, format_element, frac_ideal_parts, gcd_gen,
     ideals_up_to, is_coprime, kronecker_symbol, make_ctx, parse_element,
     prime_elements_above, reduce_mod, residues, splitting_type)
@@ -297,9 +298,26 @@ def test_reduce_mod_against_division_form():
                 (d, x, a)
 
 
+def _by_discriminant(ctx, a0, a1, b0, b1):
+    """(a0 + a1*omega)*(b0 + b1*omega) and N(a0 + a1*omega) by way of
+    2*omega = t + sqrt(D), D the discriminant and t = D mod 2, with no
+    use of omega^2 = t*omega - n: x = (u + v*sqrt(D))/2 has u = 2*x0 +
+    t*x1, v = x1 and 4N(x) = u^2 - D*v^2."""
+    disc = ctx.discriminant
+    t = disc % 2
+    u1, v1, u2, v2 = 2 * a0 + t * a1, a1, 2 * b0 + t * b1, b1
+    # the product is (P + R*sqrt(D))/4
+    p, r = u1 * u2 + disc * v1 * v2, u1 * v2 + u2 * v1
+    c1 = r // 2
+    return ((p // 2 - t * c1) // 2, c1), (u1 * u1 - disc * v1 * v1) // 4
+
+
 def test_numerator_helpers_against_field_arithmetic():
-    # _mul_numerators and _lift_norms carry the omega^2 rule for loops that
-    # build no FieldElem; both must agree with FieldElem products
+    # _mul_numerators and _norm_numerators carry the omega^2 rule and the
+    # norm form, for FieldElem and for loops that build no FieldElem, and
+    # _lift_norms reads norms from them: all must agree with FieldElem
+    # products, norm() and field_norm(), and in the imaginary fields with
+    # the discriminant form, which does not use the omega^2 rule
     rng = random.Random(25)
     for d in SUPPORTED_D:
         ctx = make_ctx(d)
@@ -307,9 +325,18 @@ def test_numerator_helpers_against_field_arithmetic():
             a0, b0 = rng.randint(-50, 50), rng.randint(-50, 50)
             a1, b1 = (rng.randint(-50, 50), rng.randint(-50, 50)) if d \
                 else (0, 0)
-            want = ctx.elem(a0, a1) * ctx.elem(b0, b1)
+            x = ctx.elem(a0, a1)
+            want = x * ctx.elem(b0, b1)
             got = _mul_numerators(ctx, a0, a1, b0, b1)
             assert got == (want.e0, want.e1)
+            norm = _norm_numerators(ctx, a0, a1)
+            assert norm == (x * x.conj()).e0
+            if d:
+                assert norm == x.norm() == x.field_norm()
+                assert (got, norm) == _by_discriminant(ctx, a0, a1, b0, b1)
+            else:
+                assert norm == x.norm() ** 2 == x.field_norm() ** 2
+                assert got == (a0 * b0, 0)
         if not d:
             continue
         for _ in range(40):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hecke import oracle
 from hecke.hecke_algebra import identity, mu, theta, theta_product
 from hecke.numberfield import make_ctx
 from hecke.oracle import (CosetFunction, GroupElem, adjoint_fun, convolve,
@@ -13,7 +14,7 @@ from hecke.oracle import (CosetFunction, GroupElem, adjoint_fun, convolve,
                           nu_adj_fun, nu_fun,
                           right_cosets_in_double_coset, symbolic_to_oracle,
                           theta_fun, verify_equivalence, _convolve_data,
-                          _universe, _Universe)
+                          _phi_data, _universe, _Universe)
 from hecke.torsion import torsion_class
 
 
@@ -344,6 +345,30 @@ def test_monomial_images_have_disjoint_supports():
         for other, sup in seen.items():
             assert not (sup & support), (m, other)
         seen[m] = support
+
+
+def test_phi_data_against_fraction_route(monkeypatch):
+    # a monomial image is held as integer numerators over one denominator;
+    # read as Fractions it must equal nu_a^* * theta_r * nu_b convolved on
+    # Fraction values, and both routes must intern cosets in one order;
+    # taken largest first, the monomials meet both slots new
+    for d, bound in ((0, 4), (1, 3)):
+        ctx = make_ctx(d)
+        mons = enumerate_monomials(ctx, bound)[::-1]
+        monkeypatch.setattr(oracle, "_universes", {})
+        got = {}
+        for m in mons:
+            den, nums = _phi_data(m)
+            got[m] = {i: Fraction(n, den) for i, n in nums.items()}
+        reps = _universe(ctx).reps
+        monkeypatch.setattr(oracle, "_universes", {})
+        uni = _universe(ctx)
+        for m in mons:
+            data = _convolve_data(uni, nu_adj_fun(m.a).data,
+                                  theta_fun(m.r).data)
+            want = _convolve_data(uni, data, nu_fun(m.b).data)
+            assert got[m] == want, m
+        assert uni.reps == reps
 
 
 def test_verify_equivalence_smoke():

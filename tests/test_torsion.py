@@ -1,14 +1,17 @@
 """Checks for K/O classes against brute-force searches."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from hecke.numberfield import divide_exact, make_ctx
-from hecke.torsion import (denominator_element, orbit_canonical, reduce01,
-                           stabilizer, stabilizer_index, torsion_class,
-                           torsion_points, unit_orbit)
+from hecke import torsion
+from hecke.numberfield import FieldElem, divide_exact, make_ctx
+from hecke.torsion import (_orbit_of, denominator_element, orbit_canonical,
+                           reduce01, stabilizer, stabilizer_index,
+                           torsion_class, torsion_points, unit_orbit)
 
 
 def test_reduce01_is_a_transversal():
@@ -113,3 +116,26 @@ def test_zero_class_conventions():
     assert stabilizer_index(z) == 1
     assert orbit_canonical(z) == z
     assert denominator_element(z) == 1
+
+
+def test_orbit_of_reads_the_orbit_table(monkeypatch):
+    # the engine asks for orbits by reduced integer triple; it must get
+    # the very object orbit_canonical gives for the class, on a miss or
+    # a hit, whichever is asked first, and that is the least of the orbit
+    monkeypatch.setattr(torsion, "_orbit_cache", {})
+    rng = random.Random(25)
+    for d in (0, 1, 3, 7):
+        ctx = make_ctx(d)
+        for k in range(150):
+            q = rng.randint(1, 30)
+            e0, e1 = rng.randrange(q), rng.randrange(q) if d else 0
+            g = gcd(e0, e1, q)
+            e0, e1, q = e0 // g, e1 // g, q // g
+            r = torsion_class(FieldElem(ctx, e0, e1, q))
+            if k % 2:
+                got = _orbit_of(ctx, e0, e1, q)
+                assert got is orbit_canonical(r)
+            else:
+                got = orbit_canonical(r)
+                assert got is _orbit_of(ctx, e0, e1, q)
+            assert got == min(unit_orbit(r)), (d, e0, e1, q)
