@@ -54,8 +54,8 @@ from typing import Union
 
 from .cyclotomic import CycloNum
 from .hecke_algebra import HeckeElement, Monomial, mul_hecke, sigma_i_beta
-from .numberfield import (FieldCtx, _hermite, _sector_rows, factor,
-                          kronecker_symbol, make_ctx)
+from .numberfield import (FieldCtx, _hermite, _norm_numerators,
+                          _sector_rows, factor, kronecker_symbol, make_ctx)
 from .pairing import (CharacterPoint, _trace_numerators,
                       _unit_trace_numerators)
 from .torsion import TorsionClass, denominator_element
@@ -195,11 +195,7 @@ def _ideal_arrays(d: int, bound: int):
                    [hi - lo + 1 for _, lo, hi in rows])
     if ctx.is_rational:
         return xs, xs.copy(), ys  # the norm is x itself
-    # the norm form of numberfield._norm_numerators, written out here
-    # because it runs on whole numpy arrays, not on one pair of integers
-    norms = xs + ctx.t * ys
-    norms *= xs
-    norms += ctx.n * ys * ys
+    norms = _norm_numerators(ctx, xs, ys)
     order = np.lexsort((ys, xs, norms))
     return norms[order], xs[order], ys[order]
 

@@ -10,8 +10,9 @@ stored as reduced integers (e0 + e1*omega)/q over the basis (1, omega),
 so all ring operations, norms, residue systems, gcds and factorizations
 here are exact; the engine, torsion, the pairing and the coset oracle
 all share this one core.  The omega^2 rule is written only in
-_mul_numerators and the norm form only in _norm_numerators; FieldElem and
-every loop that builds no FieldElem go through them.  Because the class
+_mul_numerators, the conjugation only in _conj_numerators and the norm
+form only in _norm_numerators; FieldElem, every loop that builds no
+FieldElem and the numpy ideal arrays of hecke.kms go through them.  Because the class
 number is one every ideal is principal, so a shortest nonzero vector of
 an ideal's lattice generates it: that is how gcd_gen finds a generator.
 One walk over a fundamental sector, _sector_rows, lists the ideals up to
@@ -399,11 +400,11 @@ class FieldElem:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by zero field element")
-        # x/y = x*conj(y)/N(y), with N(y) = N(b0 + b1*omega)/q^2 and
-        # conj(b0 + b1*omega) = (b0 + t*b1) - b1*omega
+        # x/y = x*conj(y)/N(y), with N(y) = N(b0 + b1*omega)/q^2
         ctx = self.ctx
         b0, b1 = o.e0, o.e1
-        p0, p1 = _mul_numerators(ctx, self.e0, self.e1, b0 + ctx.t * b1, -b1)
+        p0, p1 = _mul_numerators(ctx, self.e0, self.e1,
+                                 *_conj_numerators(ctx, b0, b1))
         return FieldElem(ctx, p0 * o.q, p1 * o.q,
                          self.q * _norm_numerators(ctx, b0, b1))
 
@@ -435,8 +436,8 @@ class FieldElem:
 
     def conj(self) -> "FieldElem":
         """Complex conjugate (identity on Q)."""
-        return FieldElem(self.ctx, self.e0 + self.ctx.t * self.e1, -self.e1,
-                         self.q)
+        c0, c1 = _conj_numerators(self.ctx, self.e0, self.e1)
+        return FieldElem(self.ctx, c0, c1, self.q)
 
     def field_norm(self) -> Fraction:
         """N_{K/Q} as a signed rational (equals the element itself on Q)."""
@@ -582,10 +583,17 @@ def _mul_numerators(ctx: FieldCtx, a0: int, a1: int,
     return a0 * b0 - ctx.n * cross, a0 * b1 + a1 * b0 + ctx.t * cross
 
 
-def _norm_numerators(ctx: FieldCtx, a0: int, a1: int) -> int:
-    """(a0 + a1*omega)*conj(a0 + a1*omega) = a0^2 + t*a0*a1 + n*a1^2, the
-    norm form; on Q (a1 = 0) the square a0^2."""
-    return a0 * a0 + ctx.t * a0 * a1 + ctx.n * a1 * a1
+def _conj_numerators(ctx: FieldCtx, a0: int, a1: int) -> tuple[int, int]:
+    """The numerators of conj(a0 + a1*omega) = (a0 + t*a1) - a1*omega,
+    by conj(omega) = t - omega; on Q (a1 = 0) the pair (a0, 0)."""
+    return a0 + ctx.t * a1, -a1
+
+
+def _norm_numerators(ctx: FieldCtx, a0, a1):
+    """(a0 + a1*omega)*conj(a0 + a1*omega) = (a0 + t*a1)*a0 + n*a1^2, the
+    norm form; on Q (a1 = 0) the square a0^2.  Plain + and *, so a0 and
+    a1 may be ints or integer numpy arrays of one shape."""
+    return (a0 + ctx.t * a1) * a0 + ctx.n * a1 * a1
 
 
 def _lift_norms(j: FieldElem, c: FieldElem, points):
@@ -621,10 +629,8 @@ def reduce_mod(x: FieldElem, a: FieldElem) -> FieldElem:
         raise ZeroDivisionError("reduction modulo the zero ideal")
     ctx = a.ctx
     a0, a1, aq = a.e0, a.e1, a.q
-    # conj(a0 + a1*omega) = (a0 + t*a1) - a1*omega
-    b0 = a0 + ctx.t * a1
     q = x.q * _norm_numerators(ctx, a0, a1)
-    y0, y1 = _mul_numerators(ctx, x.e0, x.e1, b0, -a1)
+    y0, y1 = _mul_numerators(ctx, x.e0, x.e1, *_conj_numerators(ctx, a0, a1))
     y0, y1 = _mul_numerators(ctx, a0, a1, y0 * aq % q, y1 * aq % q)
     return FieldElem(ctx, y0, y1, aq * q)
 

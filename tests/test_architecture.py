@@ -2,7 +2,7 @@
 
 The omega^2 rule and the norm form are written in hecke.numberfield
 alone: no other module reads the field constants ctx.t and ctx.n, apart
-from two named places that evaluate a form numberfield cannot provide.
+from one named place that evaluates a form numberfield does not provide.
 The orbit table and its key belong to hecke.torsion alone.
 """
 from __future__ import annotations
@@ -14,7 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hecke"
 
 # (module, function) -> why it reads ctx.t or ctx.n itself
 FIELD_CONSTANT_READERS = {
-    ("kms", "_ideal_arrays"): "the norm form on whole numpy arrays",
     ("pairing", "_trace_numerators"): "the trace form of delta = 2*omega - t",
 }
 

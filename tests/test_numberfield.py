@@ -18,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 import hecke.numberfield as nf
 from hecke.errors import UnsupportedFieldError
 from hecke.numberfield import (
-    FieldElem, SUPPORTED_D, _assoc_key, _ideal_key, _lift_norms,
-    _mul_numerators, _norm_numerators, canonical_generator, ctx_from_tag,
-    divide_exact,
+    FieldElem, SUPPORTED_D, _assoc_key, _conj_numerators, _ideal_key,
+    _lift_norms, _mul_numerators, _norm_numerators, canonical_generator,
+    ctx_from_tag, divide_exact,
     factor, factor_int, format_element, frac_ideal_parts, gcd_gen,
     ideals_up_to, is_coprime, kronecker_symbol, make_ctx, parse_element,
     prime_elements_above, reduce_mod, residues, splitting_type)
@@ -313,11 +313,12 @@ def _by_discriminant(ctx, a0, a1, b0, b1):
 
 
 def test_numerator_helpers_against_field_arithmetic():
-    # _mul_numerators and _norm_numerators carry the omega^2 rule and the
-    # norm form, for FieldElem and for loops that build no FieldElem, and
-    # _lift_norms reads norms from them: all must agree with FieldElem
-    # products, norm() and field_norm(), and in the imaginary fields with
-    # the discriminant form, which does not use the omega^2 rule
+    # _mul_numerators, _conj_numerators and _norm_numerators carry the
+    # omega^2 rule, the conjugation and the norm form, for FieldElem and
+    # for loops that build no FieldElem, and _lift_norms reads norms from
+    # them: all must agree with FieldElem products, trace(), norm() and
+    # field_norm(), and in the imaginary fields with the discriminant
+    # form, which does not use the omega^2 rule
     rng = random.Random(25)
     for d in SUPPORTED_D:
         ctx = make_ctx(d)
@@ -331,9 +332,15 @@ def test_numerator_helpers_against_field_arithmetic():
             assert got == (want.e0, want.e1)
             norm = _norm_numerators(ctx, a0, a1)
             assert norm == (x * x.conj()).e0
+            c0, c1 = _conj_numerators(ctx, a0, a1)
+            assert (x.conj().e0, x.conj().e1) == (c0, c1)
             if d:
+                assert x + ctx.elem(c0, c1) == x.trace()
                 assert norm == x.norm() == x.field_norm()
                 assert (got, norm) == _by_discriminant(ctx, a0, a1, b0, b1)
+                # (u + v*sqrt(D))/2 has the conjugate (u - v*sqrt(D))/2
+                t = ctx.discriminant % 2
+                assert (2 * c0 + t * c1, c1) == (2 * a0 + t * a1, -a1)
             else:
                 assert norm == x.norm() ** 2 == x.field_norm() ** 2
                 assert got == (a0 * b0, 0)
