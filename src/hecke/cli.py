@@ -30,8 +30,7 @@ from fractions import Fraction
 import click
 
 from .cyclotomic import CycloNum
-from .hecke_algebra import (HeckeElement, adjoint, identity, mu, mul_hecke,
-                            theta)
+from .hecke_algebra import HeckeElement, identity, mu, theta
 from .kms import (KmsParams, phi_extreme_beta, phi_extreme_infty,
                   phi_symmetric, zeta_k)
 from .numberfield import (FieldCtx, canonical_generator, ctx_from_tag,
@@ -165,8 +164,8 @@ def _parse_algebra(ctx: FieldCtx, text: str) -> HeckeElement:
         elif name == "mu":
             fac = mu(_elem(ctx, arg))
         else:
-            fac = adjoint(mu(_elem(ctx, arg)))
-        out = mul_hecke(out, fac)
+            fac = mu(_elem(ctx, arg)).adjoint()
+        out = out * fac
         pos = m.end()
         seen = True
     if not seen:
@@ -217,7 +216,7 @@ def field_cmd(field_tag: str) -> None:
 def mul_cmd(field_tag: str, left: str, right: str) -> None:
     """Multiply two products of generators and print the expansion."""
     ctx = _field(field_tag)
-    product = mul_hecke(_parse_algebra(ctx, left), _parse_algebra(ctx, right))
+    product = _parse_algebra(ctx, left) * _parse_algebra(ctx, right)
     terms = []
     for mono, coeff in sorted(product.terms.items(),
                               key=lambda kv: kv[0].sort_key()):

@@ -45,8 +45,7 @@ from .torsion import (TorsionClass, _orbit_of, orbit_canonical, reduce01,
 
 __all__ = [
     "Monomial", "HeckeElement", "identity", "mu", "theta", "theta_product",
-    "adjoint", "alpha", "beta_endo", "mul_hecke", "dynamics_weight",
-    "sigma_i_beta",
+    "alpha", "beta_endo", "dynamics_weight", "sigma_i_beta",
 ]
 
 
@@ -423,14 +422,6 @@ def theta(r) -> HeckeElement:
     ctx = r.ctx
     return HeckeElement.from_monomial(
         Monomial.make(ctx, ctx.one, r, ctx.one))
-
-
-def adjoint(x: HeckeElement) -> HeckeElement:
-    return x.adjoint()
-
-
-def mul_hecke(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    return x * y
 
 
 def theta_product(r, s) -> HeckeElement:

@@ -53,7 +53,7 @@ from math import exp, expm1, inf, isqrt, log, log10, pi
 from typing import Union
 
 from .cyclotomic import CycloNum
-from .hecke_algebra import HeckeElement, Monomial, mul_hecke, sigma_i_beta
+from .hecke_algebra import HeckeElement, Monomial, sigma_i_beta
 from .numberfield import (FieldCtx, _hermite, _norm_numerators,
                           _sector_rows, factor, kronecker_symbol, make_ctx)
 from .pairing import (CharacterPoint, _trace_numerators,
@@ -168,8 +168,8 @@ def kms_identity_check(x: HeckeElement, y: HeckeElement, beta: int) -> bool:
     if not isinstance(beta, int) or beta <= 0:
         raise ValueError("the exact identity check needs a positive "
                          "integer beta")
-    lhs = phi_symmetric_element(mul_hecke(x, y), beta)
-    rhs = phi_symmetric_element(mul_hecke(y, sigma_i_beta(x, beta)), beta)
+    lhs = phi_symmetric_element(x * y, beta)
+    rhs = phi_symmetric_element(y * sigma_i_beta(x, beta), beta)
     return lhs == rhs
 
 

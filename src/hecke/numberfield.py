@@ -375,12 +375,6 @@ class FieldElem:
         return FieldElem(self.ctx, self.e0 * q - o.e0 * p,
                          self.e1 * q - o.e1 * p, p * q)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         return FieldElem(self.ctx, -self.e0, -self.e1, self.q)
 

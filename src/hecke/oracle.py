@@ -9,10 +9,11 @@ convolution
     (f * g)(gamma) = sum over right cosets P_O gamma_1 of
                      f(gamma gamma_1^{-1}) g(gamma_1),
 
-evaluated exactly with rational values.  Functions are stored on right
-cosets; the fast product path below is valid because every function
-built by this module is constant on double cosets (bi-invariant), which
-the tests verify by translation sampling.
+evaluated exactly.  A function has one value form: integer numerators
+on right cosets over one positive denominator, in lowest terms.  The
+fast product path below is valid because every function built by this
+module is constant on double cosets (bi-invariant), which the tests
+verify by translation sampling.
 
 The right coset P_O(y, x) equals (y + xO, xO*), so a coset is keyed by
 the canonical generator of the fractional ideal xO together with y
@@ -22,16 +23,14 @@ callers bound the sizes they ask for (the CLI caps them).  A
 convolution groups each operand's support by scaling part, so the
 canonical generator of x1*x2*O and its inverse are found once per pair
 of scaling parts; each product coset is then keyed by integer
-arithmetic on the translation parts alone, and values are summed as
-integer numerators over one common denominator.  Each monomial image is
-held once, in that form; symbolic_to_oracle turns it into Fraction
-values.  verify_equivalence stays on integers for each pair: it
-convolves the numerators of the two monomial images, with the pair plans
-against each right image built once per run of left monomials with
-equal slots, and compares them with the engine's product scaled to the
-same denominator.  The arithmetic is the shared exact core of
-hecke.numberfield; what keeps the oracle independent of the rewrite
-engine is the coset model, not the field arithmetic.
+arithmetic on the translation parts alone.  Each monomial image is held
+once, as (denominator, numerators), and one combiner sums the images of
+a symbolic element: symbolic_to_oracle returns the sum, and
+verify_equivalence compares it with the convolution of two monomial
+images, building the pair plans against each right image once per run
+of left monomials with equal slots.  The arithmetic is the shared exact
+core of hecke.numberfield; what keeps the oracle independent of the
+rewrite engine is the coset model, not the field arithmetic.
 """
 from __future__ import annotations
 
@@ -40,9 +39,8 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .hecke_algebra import HeckeElement, Monomial, _mul_monomials
-from .numberfield import (FieldCtx, FieldElem, _numerators,
-                          canonical_generator, frac_ideal_parts, gcd_gen,
-                          ideals_up_to, residues)
+from .numberfield import (FieldCtx, FieldElem, canonical_generator,
+                          frac_ideal_parts, gcd_gen, ideals_up_to, residues)
 from .torsion import TorsionClass, stabilizer_index, torsion_class
 
 __all__ = [
@@ -182,52 +180,55 @@ def _universe(ctx: FieldCtx) -> _Universe:
 
 
 class CosetFunction:
-    """Finitely supported rational function on right cosets P_O\\P_K."""
+    """Finitely supported rational function on right cosets P_O\\P_K:
+    integer numerators {coset id: n} over den > 0, kept canonical: no
+    zero numerator, and den prime to the numerators taken together."""
 
-    __slots__ = ("ctx", "data")
+    __slots__ = ("ctx", "den", "nums")
 
-    def __init__(self, ctx: FieldCtx, data: dict | None = None):
+    def __init__(self, ctx: FieldCtx, den: int, nums: dict):
+        nums = {i: n for i, n in nums.items() if n}
+        c = gcd(den, *nums.values())
+        if c != 1:
+            den //= c
+            nums = {i: n // c for i, n in nums.items()}
         self.ctx = ctx
-        self.data = {}
-        if data:
-            for i, q in data.items():
-                q = Fraction(q)
-                if q:
-                    self.data[i] = q
+        self.den = den
+        self.nums = nums
 
     def support(self) -> list[GroupElem]:
         uni = _universe(self.ctx)
-        return [uni.reps[i] for i in sorted(self.data)]
+        return [uni.reps[i] for i in sorted(self.nums)]
 
     def __add__(self, other: "CosetFunction") -> "CosetFunction":
-        out = dict(self.data)
-        for i, q in other.data.items():
-            out[i] = out.get(i, 0) + q
-        return CosetFunction(self.ctx, out)
-
-    def __sub__(self, other):
-        return self + (other * Fraction(-1))
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = {i: n * s for i, n in self.nums.items()}
+        for i, n in other.nums.items():
+            out[i] = out.get(i, 0) + n * t
+        return CosetFunction(self.ctx, den, out)
 
     def __mul__(self, scalar) -> "CosetFunction":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return CosetFunction(
-            self.ctx, {i: q * scalar for i, q in self.data.items()})
-
-    __rmul__ = __mul__
+        s = Fraction(scalar)
+        nums = {i: n * s.numerator for i, n in self.nums.items()}
+        return CosetFunction(self.ctx, self.den * s.denominator, nums)
 
     def __eq__(self, other):
         if not isinstance(other, CosetFunction):
             return NotImplemented
-        return self.ctx == other.ctx and self.data == other.data
+        return (self.ctx == other.ctx and self.den == other.den
+                and self.nums == other.nums)
 
     @property
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.nums
 
     def __repr__(self):
         uni = _universe(self.ctx)
-        bits = [f"{q}@{uni.reps[i]!r}" for i, q in sorted(self.data.items())]
+        bits = [f"{Fraction(n, self.den)}@{uni.reps[i]!r}"
+                for i, n in sorted(self.nums.items())]
         return "{" + ", ".join(bits) + "}"
 
 
@@ -307,13 +308,6 @@ def _convolve_nums(uni: _Universe, nums1: dict, nums2: dict,
     return {k: v for k, v in out.items() if v}
 
 
-def _convolve_data(uni: _Universe, d1: dict, d2: dict) -> dict:
-    """_convolve_nums on Fraction values."""
-    (den1, nums1), (den2, nums2) = _numerators(d1), _numerators(d2)
-    out = _convolve_nums(uni, nums1, nums2, {})
-    return {k: Fraction(v, den1 * den2) for k, v in out.items()}
-
-
 def convolve(f: CosetFunction, g: CosetFunction) -> CosetFunction:
     """Convolution over right cosets.
 
@@ -321,9 +315,9 @@ def convolve(f: CosetFunction, g: CosetFunction) -> CosetFunction:
     the pair of support cosets P_O a (for f) and P_O b (for g)
     contributes f(a)g(b) on the single right coset P_O ab.
     """
-    out = CosetFunction(f.ctx)
-    out.data = _convolve_data(_universe(f.ctx), f.data, g.data)
-    return out
+    uni = _universe(f.ctx)
+    return CosetFunction(f.ctx, f.den * g.den,
+                         _convolve_nums(uni, f.nums, g.nums, {}))
 
 
 def adjoint_fun(f: CosetFunction) -> CosetFunction:
@@ -335,13 +329,13 @@ def adjoint_fun(f: CosetFunction) -> CosetFunction:
     """
     uni = _universe(f.ctx)
     out: dict = {}
-    for i, q in f.data.items():
+    for i, n in f.nums.items():
         for rep in right_cosets_in_double_coset(uni.reps[i].inverse()):
             k = uni.elem_id(rep)
-            if k in out and out[k] != q:
+            if k in out and out[k] != n:
                 raise ValueError("adjoint of a non-bi-invariant function")
-            out[k] = q
-    return CosetFunction(f.ctx, out)
+            out[k] = n
+    return CosetFunction(f.ctx, f.den, out)
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +398,22 @@ def count_L(gamma: GroupElem) -> int:
 def identity_fun(ctx: FieldCtx) -> CosetFunction:
     """The characteristic function of P_O, the convolution identity."""
     uni = _universe(ctx)
-    return CosetFunction(ctx, {uni.key_id(ctx.zero, ctx.one): 1})
+    return CosetFunction(ctx, 1, {uni.key_id(ctx.zero, ctx.one): 1})
 
 
 def e_fun(r: FieldElem) -> CosetFunction:
     """Indicator of the single right coset P_O(r, 1)."""
     ctx = r.ctx
     uni = _universe(ctx)
-    return CosetFunction(ctx, {uni.key_id(r, ctx.one): 1})
+    return CosetFunction(ctx, 1, {uni.key_id(r, ctx.one): 1})
 
 
-def _indicator_dc(gamma: GroupElem, value) -> CosetFunction:
+def _indicator_dc(gamma: GroupElem, R: int) -> CosetFunction:
+    """The value 1/R on each right coset of the double coset of gamma."""
     ctx = gamma.y.ctx
     uni = _universe(ctx)
-    data = {uni.elem_id(rep): value
-            for rep in right_cosets_in_double_coset(gamma)}
-    return CosetFunction(ctx, data)
+    reps = right_cosets_in_double_coset(gamma)
+    return CosetFunction(ctx, R, {uni.elem_id(rep): 1 for rep in reps})
 
 
 def nu_fun(a: FieldElem) -> CosetFunction:
@@ -443,7 +437,7 @@ def theta_fun(r) -> CosetFunction:
         r = r.rep
     ctx = r.ctx
     R = stabilizer_index(torsion_class(r))
-    return _indicator_dc(GroupElem(r, ctx.one), Fraction(1, R))
+    return _indicator_dc(GroupElem(r, ctx.one), R)
 
 
 def expected_monomial_function(m: Monomial) -> CosetFunction:
@@ -457,7 +451,7 @@ def expected_monomial_function(m: Monomial) -> CosetFunction:
     rb = m.r.rep * m.b
     x = m.b / m.a
     R = stabilizer_index(m.r.scaled(m.a * m.b))
-    return _indicator_dc(GroupElem(rb, x), Fraction(1, R))
+    return _indicator_dc(GroupElem(rb, x), R)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +464,8 @@ def _std_data(uni: _Universe, fun, key) -> tuple:
     k = (fun, key)
     got = uni.std.get(k)
     if got is None:
-        got = uni.std[k] = _numerators(fun(key).data)
+        f = fun(key)
+        got = uni.std[k] = (f.den, f.nums)
     return got
 
 
@@ -490,6 +485,26 @@ def _phi_data(m: Monomial) -> tuple:
     return got
 
 
+def _image_sum(uni: _Universe, terms: dict) -> tuple:
+    """The sum of q * Phi(m) over the terms {m: q} of a symbolic element,
+    as (den, numerators) with zero sums dropped."""
+    phi = uni.phi
+    parts = []
+    den = 1
+    for m, q in terms.items():
+        dm, nums = phi.get(m) or _phi_data(m)
+        b = q.denominator * dm
+        parts.append((q.numerator, b, nums))
+        den = lcm(den, b)
+    out: dict = {}
+    get = out.get
+    for a, b, nums in parts:
+        s = a * (den // b)
+        for i, n in nums.items():
+            out[i] = get(i, 0) + s * n
+    return den, {i: n for i, n in out.items() if n}
+
+
 def symbolic_to_oracle(x: HeckeElement) -> CosetFunction:
     """Linear map sending M(a, r, b) to nu_a^* * theta_r * nu_b.
 
@@ -497,13 +512,7 @@ def symbolic_to_oracle(x: HeckeElement) -> CosetFunction:
     factor sqrt(N_a N_b) per monomial, so products correspond up to the
     integer factor checked in verify_equivalence.
     """
-    out: dict = {}
-    for m, q in x.terms.items():
-        den, nums = _phi_data(m)
-        q /= den
-        for i, n in nums.items():
-            out[i] = out.get(i, 0) + n * q
-    return CosetFunction(x.ctx, out)
+    return CosetFunction(x.ctx, *_image_sum(_universe(x.ctx), x.terms))
 
 
 def enumerate_monomials(ctx: FieldCtx, bound: int) -> list[Monomial]:
@@ -572,25 +581,13 @@ def verify_equivalence(ctx: FieldCtx, bound: int) -> dict:
             try:
                 prod = _mul_monomials(m1, m2)
                 kappa = _product_scale(m1, m2, prod)
-                # the convolution, as integers over den1 * den2
+                # the convolution, as integers over den1 * den2, against
+                # kappa * sum of q * Phi(m), as integers over den
                 got = _convolve_nums(uni, nums1, nums2, plans[m2])
-                # kappa * sum of q * Phi(m), as integers over one denominator
-                parts = []
-                den = 1
-                for m, q in prod.items():
-                    dm, nums = phi.get(m) or _phi_data(m)
-                    kq = kappa * q
-                    b = kq.denominator * dm
-                    parts.append((kq.numerator, b, nums))
-                    den = lcm(den, b)
-                want: dict = {}
-                for a, b, nums in parts:
-                    s = a * (den // b)
-                    for i, n in nums.items():
-                        want[i] = want.get(i, 0) + s * n
-                den12 = den1 * den2
-                ok = (len(got) == sum(1 for w in want.values() if w)
-                      and all(want.get(i, 0) * den12 == v * den
+                den, want = _image_sum(uni, prod)
+                scale = kappa * den1 * den2
+                ok = (len(got) == len(want)
+                      and all(want.get(i, 0) * scale == v * den
                               for i, v in got.items()))
                 detail = "" if ok else "support or value mismatch"
             except AssertionError as exc:

@@ -54,9 +54,6 @@ class TorsionClass:
     def __neg__(self) -> "TorsionClass":
         return torsion_class(-self.rep)
 
-    def __sub__(self, other: "TorsionClass") -> "TorsionClass":
-        return torsion_class(self.rep - other.rep)
-
     def scaled(self, z) -> "TorsionClass":
         """The class z*r for an integral multiplier z."""
         if isinstance(z, FieldElem):

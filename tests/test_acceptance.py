@@ -13,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from hecke.cyclotomic import CycloNum
-from hecke.hecke_algebra import (HeckeElement, Monomial, adjoint, alpha,
-                                 identity, mu, mul_hecke, theta)
+from hecke.hecke_algebra import (HeckeElement, Monomial, alpha, identity,
+                                 mu, theta)
 from hecke.kms import (KmsParams, eigenvalue_list, kms_identity_check,
                        phi_extreme_beta, phi_extreme_infty, phi_symmetric,
                        phi_symmetric_element, zeta_k)
@@ -86,14 +86,14 @@ def test_criterion_3_presentation_relations():
         assert theta(ctx.zero) == one
 
         for a in gens:
-            assert mul_hecke(adjoint(mu(a)), mu(a)) == one
+            assert mu(a).adjoint() * mu(a) == one
             for b in gens:
-                assert mul_hecke(mu(a), mu(b)) == mu(a * b)
+                assert mu(a) * mu(b) == mu(a * b)
 
         for r in rs:
-            assert adjoint(theta(r.rep)) == theta(-r.rep)
+            assert theta(r.rep).adjoint() == theta(-r.rep)
             for s in rs:
-                lhs = mul_hecke(theta(r.rep), theta(s.rep))
+                lhs = theta(r.rep) * theta(s.rep)
                 orb_r = sorted(unit_orbit(r))
                 orb_s = sorted(unit_orbit(s))
                 rhs = HeckeElement(ctx)
@@ -113,18 +113,16 @@ def test_criterion_3_presentation_relations():
                     expanded = expanded + theta((r.rep + b) / a)
                 expanded = expanded * Fraction(1, na)
                 assert alpha(a, theta(r.rep)) == expanded
-                assert mul_hecke(theta(r.rep), mu(a)) == \
-                    mul_hecke(mu(a), theta(a * r.rep))
+                assert theta(r.rep) * mu(a) == mu(a) * theta(a * r.rep)
 
         for a in small:
             for b in small:
                 g = gcd_gen(a, b)
                 lc = canonical_generator(a * b / g)
-                assert mul_hecke(alpha(a, one), alpha(b, one)) == \
-                    alpha(lc, one)
+                assert alpha(a, one) * alpha(b, one) == alpha(lc, one)
                 if is_coprime(a, b):
-                    assert mul_hecke(adjoint(mu(b)), mu(a)) == \
-                        mul_hecke(mu(a), adjoint(mu(b)))
+                    assert mu(b).adjoint() * mu(a) == \
+                        mu(a) * mu(b).adjoint()
 
 
 def test_criterion_4_kms_identity_and_rescaling():

@@ -5,15 +5,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from hecke import oracle
 from hecke.hecke_algebra import identity, mu, theta, theta_product
-from hecke.numberfield import make_ctx
+from hecke.numberfield import _numerators, make_ctx
 from hecke.oracle import (CosetFunction, GroupElem, adjoint_fun, convolve,
                           count_L, count_R, e_fun, enumerate_monomials,
                           expected_monomial_function, identity_fun,
                           nu_adj_fun, nu_fun,
                           right_cosets_in_double_coset, symbolic_to_oracle,
-                          theta_fun, verify_equivalence, _convolve_data,
+                          theta_fun, verify_equivalence, _convolve_nums,
                           _phi_data, _universe, _Universe)
 from hecke.torsion import torsion_class
 
@@ -29,7 +31,7 @@ def in_subgroup(g):
 
 def value_at(f, g):
     """The value of the coset function f on the right coset of g."""
-    return f.data.get(_universe(f.ctx).elem_id(g), Fraction(0))
+    return Fraction(f.nums.get(_universe(f.ctx).elem_id(g), 0), f.den)
 
 
 def _rand_elem(rng, ctx, scale=6):
@@ -152,6 +154,36 @@ def test_theta_convolution_matches_symbolic():
     assert got == want
 
 
+def test_coset_function_canonical_form():
+    # integer numerators over one denominator, in lowest terms: the form
+    # a function is built in does not show
+    q = make_ctx(0)
+    uni = _universe(q)
+    i, j, k = (uni.key_id(q.one / n, q.one) for n in (2, 3, 5))
+    f = CosetFunction(q, 6, {i: 3, j: -2, k: 0})
+    assert (f.den, f.nums) == (6, {i: 3, j: -2})
+    assert f == CosetFunction(q, 30, {j: -10, i: 15})
+    assert CosetFunction(q, 4, {i: 0}) == CosetFunction(q, 1, {})
+    assert CosetFunction(q, 4, {i: 0}).is_zero
+    assert f != CosetFunction(q, 6, {i: 3})
+    assert f * Fraction(2, 3) == CosetFunction(q, 9, {i: 3, j: -2})
+    assert f + f * -1 == CosetFunction(q, 1, {})
+    g = theta_fun(q.one / 3)
+    assert g.den == 2
+    assert convolve(identity_fun(q), g) == g
+    assert convolve(g, identity_fun(q)) == g
+    # the adjoint keeps the denominator; a value that differs across one
+    # double coset is refused
+    r2 = [uni.elem_id(rep) for rep in
+          right_cosets_in_double_coset(GroupElem(q.zero, q.elem(2)))]
+    assert len(r2) == 2
+    bad = CosetFunction(q, 1, {r2[0]: 1, r2[1]: 2})
+    with pytest.raises(ValueError):
+        adjoint_fun(bad)
+    assert adjoint_fun(CosetFunction(q, 3, {r2[0]: 1, r2[1]: 1})) == \
+        nu_adj_fun(q.elem(2)) * Fraction(1, 3)
+
+
 def test_convolution_associativity():
     rng = random.Random(19)
     for d in (0, 1):
@@ -161,6 +193,13 @@ def test_convolution_associativity():
         for _ in range(8):
             f, g, h = (rng.choice(fs) for _ in range(3))
             assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
+
+
+def _convolve_data(uni, d1, d2):
+    """The grouped convolution _convolve_nums on Fraction values."""
+    (den1, nums1), (den2, nums2) = _numerators(d1), _numerators(d2)
+    out = _convolve_nums(uni, nums1, nums2, {})
+    return {k: Fraction(v, den1 * den2) for k, v in out.items()}
 
 
 def _pairwise_convolve(uni, d1, d2):
@@ -274,7 +313,7 @@ def test_e_sum_identity():
         ctx = make_ctx(d)
         r = ctx.elem(coords)
         orbit = {torsion_class(r * u) for u in ctx.units}
-        total = CosetFunction(ctx)
+        total = CosetFunction(ctx, 1, {})
         for t in orbit:
             total = total + e_fun(t.rep)
         assert total * Fraction(1, len(orbit)) == theta_fun(r)
@@ -314,7 +353,7 @@ def test_symbolic_to_oracle_basics():
     assert symbolic_to_oracle(identity(q)) == identity_fun(q)
     f = symbolic_to_oracle(theta(q.one / 3))
     assert f == theta_fun(q.one / 3)
-    assert set(f.data.values()) == {Fraction(1, 2)}
+    assert f.den == 2 and set(f.nums.values()) == {1}
     assert symbolic_to_oracle(mu(q.elem(5))) == nu_fun(q.elem(5))
     assert symbolic_to_oracle(mu(q.elem(5)).adjoint()) == nu_adj_fun(
         q.elem(5))
@@ -341,33 +380,30 @@ def test_monomial_images_have_disjoint_supports():
     seen = {}
     for m in mons:
         support = frozenset(symbolic_to_oracle(
-            HeckeElementFromMonomial(m)).data)
+            HeckeElementFromMonomial(m)).nums)
         for other, sup in seen.items():
             assert not (sup & support), (m, other)
         seen[m] = support
 
 
-def test_phi_data_against_fraction_route(monkeypatch):
-    # a monomial image is held as integer numerators over one denominator;
-    # read as Fractions it must equal nu_a^* * theta_r * nu_b convolved on
-    # Fraction values, and both routes must intern cosets in one order;
-    # taken largest first, the monomials meet both slots new
+def test_phi_data_against_convolve_route(monkeypatch):
+    # a monomial image is held as integer numerators over one denominator,
+    # built from the cached generator functions; it must equal
+    # nu_a^* * theta_r * nu_b built by convolve on fresh functions, and
+    # both routes must intern cosets in one order; taken largest first,
+    # the monomials meet both slots new
     for d, bound in ((0, 4), (1, 3)):
         ctx = make_ctx(d)
         mons = enumerate_monomials(ctx, bound)[::-1]
         monkeypatch.setattr(oracle, "_universes", {})
-        got = {}
-        for m in mons:
-            den, nums = _phi_data(m)
-            got[m] = {i: Fraction(n, den) for i, n in nums.items()}
+        got = {m: _phi_data(m) for m in mons}
         reps = _universe(ctx).reps
         monkeypatch.setattr(oracle, "_universes", {})
         uni = _universe(ctx)
         for m in mons:
-            data = _convolve_data(uni, nu_adj_fun(m.a).data,
-                                  theta_fun(m.r).data)
-            want = _convolve_data(uni, data, nu_fun(m.b).data)
-            assert got[m] == want, m
+            want = convolve(convolve(nu_adj_fun(m.a), theta_fun(m.r)),
+                            nu_fun(m.b))
+            assert CosetFunction(ctx, *got[m]) == want, m
         assert uni.reps == reps
 
 
